@@ -1,14 +1,13 @@
 """Whole-horizon Phase-1 planning: one pass of draws, columnar results.
 
-The horizon population path (:meth:`SimulationEngine.generate_population`)
-splits Phase 1 into two passes instead of interleaving everything inside
-a 728-iteration day loop:
+The horizon population path (:meth:`SimulationEngine.generate_population`,
+and its scalar oracle) splits Phase 1 into two passes:
 
 * **draws** -- a single flat sweep over the horizon that performs every
   RNG draw (registration counts, creation times, profiles, screening,
-  materialization, detection, dormancy) in the exact canonical order
-  the day-loop path uses, recording the per-account outcomes into the
-  columnar arrays held here;
+  materialization, detection, dormancy) in the canonical order,
+  recording the per-account outcomes into the columnar arrays held
+  here;
 * **build** -- a draw-free pass that trims each materialized account to
   its recorded activity end and assembles the account summaries.
 

@@ -7,7 +7,6 @@
     python -m repro.obs watch RUNS/x              # live progress tail
     python -m repro.obs watch RUNS/x --once       # one status line
     python -m repro.obs export RUNS/x --format chrome-trace
-    python -m repro.obs merge RUNS/w0 RUNS/w1 --out RUNS/merged
     python -m repro.obs runs index RUNS/          # build RUNS/runs.json
     python -m repro.obs runs list RUNS/           # registry table
     python -m repro.obs runs show RUNS/x          # one run's summary
@@ -24,9 +23,9 @@ Reports go to stdout; diagnostics go to stderr via logging.  ``diff``,
 1 on a violation, and 2 when inputs are unreadable.  ``report`` and
 ``watch`` on a run with missing telemetry or sidecar print a notice
 and exit 0 -- absent telemetry is a normal state (``telemetry=False``
-runs, pre-sidecar dirs), not an error.  ``export``, ``merge``,
-``analyze``, and ``dash`` exit 2 on unreadable inputs: they produce
-artifacts, so a silent no-op would masquerade as success.
+or ``progress=False`` runs), not an error.  ``export``, ``analyze``,
+and ``dash`` exit 2 on unreadable inputs: they produce artifacts, so a
+silent no-op would masquerade as success.
 """
 
 from __future__ import annotations
@@ -146,23 +145,6 @@ def _cmd_export(args: argparse.Namespace) -> int:
         out = (target if target.is_dir() else target.parent) / TRACE_NAME
     export_chrome_trace(events, out)
     _print(f"wrote {args.format} ({len(events)} events) -> {out}")
-    return 0
-
-
-def _cmd_merge(args: argparse.Namespace) -> int:
-    from .merge import MergeError, merge_runs
-
-    try:
-        record = merge_runs(args.inputs, args.out)
-    except MergeError as exc:
-        log.error("%s", exc)
-        return 2
-    _print(
-        f"merged {len(record['inputs'])} fragment(s) "
-        f"[{', '.join(record['workers'])}]: "
-        f"{record['telemetry_events']} events, "
-        f"{record['ledger_days']} ledger day(s) -> {args.out}"
-    )
     return 0
 
 
@@ -411,23 +393,6 @@ def main(argv: list[str] | None = None) -> int:
         help="output path (default: <run-dir>/trace.json)",
     )
     export.set_defaults(func=_cmd_export)
-
-    merge = sub.add_parser(
-        "merge", help="merge per-worker run fragments into one layout"
-    )
-    merge.add_argument(
-        "inputs",
-        type=Path,
-        nargs="+",
-        help="per-worker run directories (any order)",
-    )
-    merge.add_argument(
-        "--out",
-        type=Path,
-        required=True,
-        help="directory for the merged telemetry/ledger",
-    )
-    merge.set_defaults(func=_cmd_merge)
 
     runs = sub.add_parser(
         "runs", help="index / list / show run directories (runs.json)"

@@ -92,9 +92,9 @@ class RunData:
     validation: dict | None
     ledger_rows: list[dict] | None
     #: On-disk impression chunk format, from ``MANIFEST.json``
-    #: (``"npz"`` for pre-columnar manifests, ``None`` without a
-    #: readable manifest).  Informational only: the diff never reads
-    #: chunk bytes, so runs in different formats stay fully comparable.
+    #: (``None`` without a readable manifest or its key).  Informational
+    #: only: the diff never reads chunk bytes, so runs in different
+    #: formats stay fully comparable.
     chunk_format: str | None = None
     #: Resource envelope (:mod:`repro.obs.resources` summary) from the
     #: run's telemetry, ``None`` when the run recorded none.
@@ -145,7 +145,7 @@ def load_run(run_dir: str | Path) -> RunData:
         try:
             manifest = json.loads(manifest_path.read_text())
             if isinstance(manifest, dict):
-                data.chunk_format = str(manifest.get("chunk_format", "npz"))
+                data.chunk_format = manifest.get("chunk_format")
         except (OSError, ValueError):
             data.notes.append("manifest unreadable")
     data.validation = load_validation(run_dir)

@@ -253,9 +253,7 @@ def summarize_run(run_dir: str | Path) -> dict | None:
         "seed": manifest.get("seed"),
         "days": manifest.get("days"),
         "phase": manifest.get("phase"),
-        # Pre-columnar manifests never wrote the key; those runs are
-        # npz by construction (mirrors RunManifest.load's default).
-        "chunk_format": manifest.get("chunk_format", "npz"),
+        "chunk_format": manifest.get("chunk_format"),
         "config_sha256": manifest.get("config_sha256"),
         "package_version": manifest.get("package_version"),
         "chunks": len(chunks),

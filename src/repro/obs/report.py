@@ -272,31 +272,11 @@ def report_json(
     }
 
 
-def _layout_notices(aggregated: dict[tuple[str, ...], dict]) -> list[str]:
-    """Informational notes about recognizably old span layouts.
-
-    Aggregation is generic (any span tree renders), so a pre-columnar
-    run directory never crashes the report -- but its Phase-1 tree uses
-    the retired per-day layout, and silently rendering it invites
-    apples-to-oranges comparisons with whole-horizon runs.  Say so.
-    """
-    notices: list[str] = []
-    if any(path[-1] == "phase1.day" for path in aggregated):
-        notices.append(
-            "note: legacy per-day phase1 span layout (phase1.day); "
-            "recorded before the whole-horizon draws/build split"
-        )
-    return notices
-
-
 def render_report(events: list[dict], source: str | Path | None = None) -> str:
     """Full text report for one telemetry event list."""
     header = "telemetry report" + (f": {source}" if source else "")
     sections: list[list[str]] = [[header, f"{len(events)} events"]]
     aggregated = aggregate_spans(events)
-    notices = _layout_notices(aggregated)
-    if notices:
-        sections.append(notices)
     if aggregated:
         sections.append(_render_span_tree(aggregated))
     event_lines = _render_events(events)

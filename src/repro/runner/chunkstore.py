@@ -1,6 +1,6 @@
 """Impression-chunk serialization formats for the checkpoint runner.
 
-A run directory's ``chunks/`` files can be stored in one of three
+A run directory's ``chunks/`` files can be stored in one of two
 formats, recorded in the manifest's ``chunk_format`` field so resume,
 ``verify`` and ``doctor --repair`` always read what was written:
 
@@ -8,18 +8,13 @@ formats, recorded in the manifest's ``chunk_format`` field so resume,
     A :mod:`repro.records.columnar` bundle -- per-column ``.npy``
     payloads with individual SHA-256 checksums, seekable by column.
     Byte-stable by construction.
-``npz`` (legacy, ``.npz``)
-    ``np.savez_compressed`` archive -- what every run written before
-    the columnar store used.  Manifests that predate ``chunk_format``
-    map to this.  numpy pins the zip member timestamp, so these bytes
-    are deterministic too.
 ``jsonl`` (export, ``.jsonl``)
     One JSON object per row in storage-field order.  Slow and large,
     but greppable and diffable; Python's ``repr``-based float
     serialization round-trips every ``float64`` exactly, so even this
     format is bit-exact and replayable.
 
-All three serializers are *deterministic*: the same drained arrays
+Both serializers are *deterministic*: the same drained arrays
 always produce the same bytes.  That is the property the doctor's
 repair path stands on -- it re-simulates a damaged day range, feeds the
 drained chunk back through :func:`chunk_to_bytes`, and refuses to write
@@ -28,7 +23,6 @@ unless the bytes hash to what the manifest vouched.
 
 from __future__ import annotations
 
-import io
 import json
 from pathlib import Path
 
@@ -41,7 +35,6 @@ from ..records.impressions import ImpressionTable
 __all__ = [
     "CHUNK_FORMATS",
     "DEFAULT_CHUNK_FORMAT",
-    "LEGACY_CHUNK_FORMAT",
     "chunk_file_name",
     "chunk_suffix",
     "chunk_to_bytes",
@@ -49,13 +42,11 @@ __all__ = [
 ]
 
 #: Formats a manifest's ``chunk_format`` may name.
-CHUNK_FORMATS = ("columnar", "npz", "jsonl")
+CHUNK_FORMATS = ("columnar", "jsonl")
 #: Format new runs are written in.
 DEFAULT_CHUNK_FORMAT = "columnar"
-#: Format assumed for manifests written before ``chunk_format`` existed.
-LEGACY_CHUNK_FORMAT = "npz"
 
-_SUFFIXES = {"columnar": ".npc", "npz": ".npz", "jsonl": ".jsonl"}
+_SUFFIXES = {"columnar": ".npc", "jsonl": ".jsonl"}
 
 _FIELD_DTYPES = ImpressionTable.field_dtypes()
 _FIELD_NAMES = ImpressionTable.field_names()
@@ -92,10 +83,6 @@ def chunk_to_bytes(
         return columns_to_bytes(
             ordered, meta={"day_end": day_end, "day_start": day_start}
         )
-    if chunk_format == "npz":
-        buffer = io.BytesIO()
-        np.savez_compressed(buffer, **chunk)
-        return buffer.getvalue()
     rows = len(chunk["day"])
     lines = []
     for i in range(rows):
@@ -125,17 +112,6 @@ def load_chunk(path: str | Path, chunk_format: str) -> dict | None:
         if set(columns) != set(_FIELD_NAMES):
             return None
         return columns
-    if chunk_format == "npz":
-        try:
-            with np.load(path) as archive:
-                if set(archive.files) != set(_FIELD_NAMES):
-                    return None
-                return {name: archive[name] for name in archive.files}
-        except (OSError, ValueError):
-            # np.load raises OSError/ValueError on non-zip garbage.
-            if path.exists():
-                return None
-            raise
     columns: dict[str, list] = {name: [] for name in _FIELD_NAMES}
     try:
         text = path.read_text(encoding="utf-8")

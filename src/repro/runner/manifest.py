@@ -27,7 +27,7 @@ from .._version import __version__
 from ..config import SimulationConfig, config_from_dict
 from ..errors import ConfigError, SimulationError
 from ..records.atomic import atomic_write_text
-from .chunkstore import CHUNK_FORMATS, DEFAULT_CHUNK_FORMAT, LEGACY_CHUNK_FORMAT
+from .chunkstore import CHUNK_FORMATS, DEFAULT_CHUNK_FORMAT
 
 __all__ = [
     "MANIFEST_NAME",
@@ -95,6 +95,10 @@ class RunManifest:
     seed: int
     days: int
     checkpoint_every: int
+    #: The full configuration (``dataclasses.asdict`` form), embedded
+    #: so ``verify``/``doctor`` can re-simulate damaged artifacts
+    #: without the caller re-supplying CLI flags.
+    config: dict
     phase: str = "phase1"
     format: str = MANIFEST_FORMAT
     package_version: str = __version__
@@ -107,14 +111,8 @@ class RunManifest:
     phase3_start_rng: dict | None = None
     chunks: list[ChunkEntry] = field(default_factory=list)
     #: Serialization format of every file under ``chunks/`` (see
-    #: :mod:`repro.runner.chunkstore`).  Manifests written before this
-    #: field existed load as ``"npz"``, the only format that existed.
+    #: :mod:`repro.runner.chunkstore`).
     chunk_format: str = DEFAULT_CHUNK_FORMAT
-    #: The full configuration (``dataclasses.asdict`` form), embedded
-    #: so ``verify``/``doctor`` can re-simulate damaged artifacts
-    #: without the caller re-supplying CLI flags.  ``None`` only for
-    #: manifests written before this field existed.
-    config: dict | None = None
 
     @classmethod
     def fresh(
@@ -133,16 +131,13 @@ class RunManifest:
             chunk_format=chunk_format,
         )
 
-    def simulation_config(self) -> SimulationConfig | None:
+    def simulation_config(self) -> SimulationConfig:
         """Rebuild the embedded configuration, verifying its hash.
 
-        Returns ``None`` for pre-doctor manifests that carry only the
-        hash; raises :class:`SimulationError` if the embedded config no
-        longer matches ``config_sha256`` (a hand-edited manifest must
-        not smuggle in a different run).
+        Raises :class:`SimulationError` if the embedded config no longer
+        matches ``config_sha256`` (a hand-edited manifest must not
+        smuggle in a different run).
         """
-        if self.config is None:
-            return None
         try:
             config = config_from_dict(self.config)
         except ConfigError as exc:
@@ -179,7 +174,7 @@ class RunManifest:
         """Load and structurally validate a manifest.
 
         Raises :class:`SimulationError` (never raw ``json`` errors) on
-        unreadable or malformed content.
+        unreadable or malformed content, naming any missing key.
         """
         try:
             payload = json.loads(Path(path).read_text())
@@ -210,12 +205,14 @@ class RunManifest:
                 chunks=[
                     ChunkEntry.from_dict(chunk) for chunk in payload["chunks"]
                 ],
-                config=payload.get("config"),
-                chunk_format=str(
-                    payload.get("chunk_format", LEGACY_CHUNK_FORMAT)
-                ),
+                config=dict(payload["config"]),
+                chunk_format=str(payload["chunk_format"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
+            raise SimulationError(
+                f"malformed manifest {path}: missing key {exc.args[0]!r}"
+            ) from None
+        except (TypeError, ValueError) as exc:
             raise SimulationError(f"malformed manifest {path}: {exc}") from None
         if manifest.phase not in PHASES:
             raise SimulationError(

@@ -11,9 +11,9 @@ Run directory layout::
         chunk-00007-00014.npc   ...
 
 Chunks are columnar bundles (:mod:`repro.records.columnar`) by default;
-the manifest's ``chunk_format`` field records which of the three
-:mod:`repro.runner.chunkstore` formats (``columnar``/``npz``/``jsonl``)
-a directory uses, and resume always reads/writes the recorded format
+the manifest's ``chunk_format`` field records which of the two
+:mod:`repro.runner.chunkstore` formats (``columnar``/``jsonl``) a
+directory uses, and resume always reads/writes the recorded format
 regardless of what a fresh run would pick.
 
 Crash-consistency protocol: every artifact lands via tmp-file + fsync +
@@ -191,11 +191,7 @@ class CheckpointRunner:
             self._sink = JsonlSink(self.run_dir / TELEMETRY_NAME)
             obs.add_sink(self._sink)
         if self.progress:
-            self._progress = ProgressSink(
-                self.run_dir,
-                days=self.config.days,
-                worker_id=obs.worker_id(),
-            )
+            self._progress = ProgressSink(self.run_dir, days=self.config.days)
             obs.add_sink(self._progress)
         if self.resources:
             self._sampler = ResourceSampler()

@@ -71,13 +71,15 @@ def make_run(
     validation_ok: tuple[str, ...] = ("fraud_share", "cpc"),
     validation_miss: tuple[str, ...] = (),
     rss_peak_kb: float | None = None,
+    chunk_format: str | None = "columnar",
 ) -> Path:
     """Synthesize a minimal but complete run directory."""
     run_dir = root / name
     run_dir.mkdir(parents=True)
-    (run_dir / "MANIFEST.json").write_text(
-        json.dumps({"seed": 7, "days": 4, "phase": "complete", "chunks": []})
-    )
+    manifest = {"seed": 7, "days": 4, "phase": "complete", "chunks": []}
+    if chunk_format is not None:
+        manifest["chunk_format"] = chunk_format
+    (run_dir / "MANIFEST.json").write_text(json.dumps(manifest))
     events = [
         _span(1, None, "runner.run", dur=phase3_s + 1.0),
         _span(2, 1, "phase1.population", dur=0.5),
@@ -116,6 +118,29 @@ def make_run(
     )
     (ledger or _ledger()).flush(run_dir / DAYLEDGER_NAME)
     return run_dir
+
+
+class TestChunkFormats:
+    def test_differing_formats_are_noted_not_gated(self, tmp_path):
+        a = load_run(make_run(tmp_path, "a"))
+        b = load_run(make_run(tmp_path, "b", chunk_format="jsonl"))
+        assert (a.chunk_format, b.chunk_format) == ("columnar", "jsonl")
+        diff = diff_runs(a, b)
+        assert evaluate_fail_on(diff, {"drift": 0.0}) == []
+        text = render_diff(diff)
+        assert "chunk formats differ (a: columnar, b: jsonl)" in text
+        assert "format-independent" in text
+
+    def test_same_format_runs_have_no_format_note(self, tmp_path):
+        a = load_run(make_run(tmp_path, "a"))
+        b = load_run(make_run(tmp_path, "b"))
+        assert "chunk formats differ" not in render_diff(diff_runs(a, b))
+
+    def test_manifest_without_chunk_format_reads_as_none(self, tmp_path):
+        a = load_run(make_run(tmp_path, "a", chunk_format=None))
+        b = load_run(make_run(tmp_path, "b"))
+        assert a.chunk_format is None
+        assert "chunk formats differ" not in render_diff(diff_runs(a, b))
 
 
 class TestDiffRuns:

@@ -1,4 +1,4 @@
-"""The three chunk formats: identity, resume, doctor, and legacy load."""
+"""The two chunk formats: identity, resume, and doctor."""
 
 import json
 
@@ -12,7 +12,6 @@ from repro.runner import (
     CheckpointRunner,
     FaultPlan,
     InjectedCrash,
-    RunManifest,
     chunk_to_bytes,
     load_chunk,
     repair_run,
@@ -148,24 +147,6 @@ class TestRunnerFormats:
         assert repair.verify.ok, repair.verify.issues
         for rel, data in pristine.items():
             assert (run_dir / rel).read_bytes() == data, rel
-
-    def test_legacy_manifest_without_chunk_format_reads_as_npz(
-        self, tmp_path, runner_config, baseline
-    ):
-        # Simulate a pre-columnar run directory: an npz-format run whose
-        # manifest never heard of chunk_format.
-        run_dir = tmp_path / "legacy"
-        CheckpointRunner(runner_config, run_dir, chunk_format="npz").run()
-        manifest_path = run_dir / "MANIFEST.json"
-        payload = json.loads(manifest_path.read_text())
-        del payload["chunk_format"]
-        manifest_path.write_text(json.dumps(payload, sort_keys=True, indent=1))
-        manifest = RunManifest.load(manifest_path)
-        assert manifest.chunk_format == "npz"
-        # verify and a rebuild-from-chunks resume both work.
-        assert verify_run(run_dir).ok
-        result = CheckpointRunner(runner_config, run_dir).run(resume=True)
-        assert_results_identical(baseline, result)
 
     def test_unknown_chunk_format_refused(self, tmp_path, runner_config):
         with pytest.raises(SimulationError):

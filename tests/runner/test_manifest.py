@@ -1,13 +1,25 @@
 """Manifest round-trip, config hashing, and structural validation."""
 
 import json
+import shutil
 
 import pytest
 
 from repro import small_config
 from repro.errors import SimulationError
-from repro.runner import ChunkEntry, RunManifest, config_sha256
+from repro.runner import (
+    CheckpointRunner,
+    ChunkEntry,
+    RunManifest,
+    config_sha256,
+    verify_run,
+)
+from repro.runner.__main__ import main as runner_main
+from repro.runner.manifest import MANIFEST_NAME
 from repro.simulator.engine import RNG_STREAMS, SimulationEngine
+
+#: A small completed run every rejection case damages a copy of.
+_REAL_RUN_CONFIG = small_config(seed=5, days=8)
 
 
 class TestConfigHash:
@@ -126,3 +138,54 @@ class TestManifestRoundTrip:
         path.write_text(json.dumps(payload))
         with pytest.raises(SimulationError, match="malformed"):
             RunManifest.load(path)
+
+
+@pytest.fixture(scope="module")
+def real_run(tmp_path_factory):
+    run_dir = tmp_path_factory.mktemp("real") / "run"
+    CheckpointRunner(_REAL_RUN_CONFIG, run_dir, checkpoint_every=4).run()
+    return run_dir
+
+
+def _drop_chunk_format(payload):
+    del payload["chunk_format"]
+
+
+def _drop_config(payload):
+    del payload["config"]
+
+
+def _npz_chunk_format(payload):
+    payload["chunk_format"] = "npz"
+
+
+@pytest.mark.parametrize(
+    ("edit", "named"),
+    [
+        (_drop_chunk_format, "'chunk_format'"),
+        (_drop_config, "'config'"),
+        (_npz_chunk_format, "'npz'"),
+    ],
+    ids=["no-chunk-format", "no-config", "npz-chunk-format"],
+)
+def test_manifest_without_current_layout_is_refused(
+    tmp_path, real_run, edit, named
+):
+    """Only the current run-directory layout loads: a manifest missing
+    ``chunk_format`` or ``config``, or naming the retired ``npz``
+    format, is refused everywhere it is read, with the culprit named."""
+    run_dir = tmp_path / "run"
+    shutil.copytree(real_run, run_dir)
+    path = run_dir / MANIFEST_NAME
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload, sort_keys=True, indent=1))
+
+    with pytest.raises(SimulationError, match=named):
+        RunManifest.load(path)
+    with pytest.raises(SimulationError, match=named):
+        verify_run(run_dir)
+    # The verify CLI reports it as fatal (exit 2), not a traceback.
+    assert runner_main(["verify", str(run_dir)]) == 2
+    with pytest.raises(SimulationError, match=named):
+        CheckpointRunner(_REAL_RUN_CONFIG, run_dir).run(resume=True)

@@ -3,14 +3,17 @@
 :meth:`SimulationEngine.generate_population` (the batched materializer)
 must reproduce :meth:`SimulationEngine.generate_population_scalar`
 exactly on a same-seed engine: every account summary, every surviving
-entity, and -- the strongest invariant -- the bit state of all five
-named RNG streams after generation, which any skipped or reordered
-draw would break.
+entity, the columnar population plan both record, and -- the strongest
+invariant -- the bit state of all five named RNG streams after
+generation, which any skipped or reordered draw would break.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from repro.behavior.horizon import PopulationPlan
 from repro.config import small_config
 from repro.simulator.engine import RNG_STREAMS, SimulationEngine
 
@@ -21,7 +24,7 @@ def _generate(scalar: bool):
         accounts, summaries = engine.generate_population_scalar()
     else:
         accounts, summaries = engine.generate_population()
-    return accounts, summaries, engine.rng_state()
+    return accounts, summaries, engine.rng_state(), engine.population_plan
 
 
 @pytest.fixture(scope="module")
@@ -31,12 +34,12 @@ def populations():
 
 class TestPopulationEquivalence:
     def test_rng_stream_states_identical(self, populations):
-        (_, _, batched), (_, _, scalar) = populations
+        (_, _, batched, _), (_, _, scalar, _) = populations
         assert set(batched) == set(RNG_STREAMS)
         assert batched == scalar
 
     def test_summaries_identical(self, populations):
-        (_, batched, _), (_, scalar, _) = populations
+        (_, batched, _, _), (_, scalar, _, _) = populations
         assert len(batched) == len(scalar)
         for mine, theirs in zip(batched, scalar):
             for name in mine.__dataclass_fields__:
@@ -49,7 +52,7 @@ class TestPopulationEquivalence:
                     assert a == b, name
 
     def test_entities_identical(self, populations):
-        (batched, _, _), (scalar, _, _) = populations
+        (batched, _, _, _), (scalar, _, _, _) = populations
         assert len(batched) == len(scalar)
         for mine, theirs in zip(batched, scalar):
             assert mine.activity_end == theirs.activity_end
@@ -99,5 +102,19 @@ class TestPopulationEquivalence:
 
     def test_no_account_left_pending(self, populations):
         """Every lazy account must have been finalized by its trim."""
-        (batched, _, _), _ = populations
+        (batched, _, _, _), _ = populations
         assert all(account.pending is None for account in batched)
+
+    def test_plans_identical(self, populations):
+        (_, _, _, batched), (_, _, _, scalar) = populations
+        assert isinstance(batched, PopulationPlan)
+        assert isinstance(scalar, PopulationPlan)
+        assert batched.days == scalar.days
+        for column in dataclasses.fields(PopulationPlan):
+            a = getattr(batched, column.name)
+            b = getattr(scalar, column.name)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype, column.name
+                np.testing.assert_array_equal(a, b, err_msg=column.name)
+            else:
+                assert a == b, column.name
