@@ -59,7 +59,7 @@ from ..rng import stream
 from ..taxonomy.geography import country as country_info
 from ..taxonomy.verticals import VERTICALS
 from .market import MarketIndex, bucket_keys
-from .querygen import QuerySampler, match_table
+from .querygen import PooledMatchTable, QuerySampler, match_table, pooled_match_table
 from .registration import FraudShareSchedule, sample_daily_counts
 from .results import AccountSummary, SimulationResult
 
@@ -130,13 +130,6 @@ class SimulationEngine:
         )
         self._ids = IdAllocator()
         self._next_advertiser_id = 0
-        #: Memo for the *scalar oracle* path only.  Keys are
-        #: ``(vertical, seed, decorated, shuffled)``; the reachable key
-        #: space is bounded at ``n_verticals * pool_size * 3`` (the
-        #: three query shapes), a few thousand entries at most.  The
-        #: batched path needs no memo: it reads the arrays precomputed
-        #: by :meth:`repro.simulator.querygen.MatchTable.eligible_arrays`.
-        self._eligible_memo: dict[tuple[int, int, bool, bool], list] = {}
         #: Columnar whole-horizon record of the Phase-1 draws pass;
         #: populated by :meth:`generate_population` and its scalar
         #: oracle (None until then).
@@ -573,17 +566,6 @@ class SimulationEngine:
     # Phase 3: auctions
     # ------------------------------------------------------------------
 
-    def _eligible_pairs(
-        self, vertical_code: int, seed: int, decorated: bool, shuffled: bool
-    ):
-        key = (vertical_code, seed, decorated, shuffled)
-        pairs = self._eligible_memo.get(key)
-        if pairs is None:
-            table = match_table(VERTICALS[vertical_code].name)
-            pairs = table.eligible_pairs(seed, decorated, shuffled)
-            self._eligible_memo[key] = pairs
-        return pairs
-
     def run_auctions(
         self,
         market: MarketIndex,
@@ -626,7 +608,7 @@ class SimulationEngine:
         sampler = QuerySampler(config.query)
         auction_config = config.auction
         exam_table = examination_table(config.click, auction_config.total_slots)
-        tables = [match_table(v.name) for v in VERTICALS]
+        matches = pooled_match_table()
         heartbeat = obs.heartbeat_every()
         tracer = obs.tracer()
         # The builder may be drained mid-loop (checkpoint chunks), so
@@ -644,7 +626,7 @@ class SimulationEngine:
                     ledger.begin_day(day)
                 with obs.span("phase3.day", day=day):
                     self._run_auction_day(
-                        day, market, builder, sampler, exam_table, tables
+                        day, market, builder, sampler, exam_table, matches
                     )
                 if heartbeat and (day + 1) % heartbeat == 0:
                     elapsed = tracer.now() - phase_span.start
@@ -694,11 +676,10 @@ class SimulationEngine:
         builder: ImpressionBuilder,
         sampler: QuerySampler,
         exam_table: np.ndarray,
-        tables: list,
+        matches: PooledMatchTable,
     ) -> None:
         """One day of the batched auction loop (body of Phase 3)."""
         config = self.config
-        cells = sampler.cells
         rng_clicks = self._rng_clicks
         auction_config = config.auction
         time = day + 0.5
@@ -720,37 +701,12 @@ class SimulationEngine:
         queries = sampler.sample_day(self._rng_queries)
         n_queries = len(queries)
         _QUERIES_SAMPLED.inc(n_queries)
-        weight = np.empty(n_queries, dtype=np.float64)
-        vertical = np.empty(n_queries, dtype=np.int16)
-        country = np.empty(n_queries, dtype=np.int16)
-        cell_ids = np.empty(n_queries, dtype=np.int64)
-        counts = np.zeros(n_queries, dtype=np.int64)
-        kw_chunks: list[np.ndarray] = []
-        mcode_chunks: list[np.ndarray] = []
-        for seg, query in enumerate(queries):
-            weight[seg] = query.weight
-            vertical[seg] = query.vertical
-            country[seg] = query.country
-            cell_ids[seg] = cells.cell_of(query.vertical, query.country)
-            kws, mcodes = tables[query.vertical].eligible_arrays(
-                query.seed_index, query.decorated, query.shuffled
-            )
-            if len(kws):
-                counts[seg] = len(kws)
-                kw_chunks.append(kws)
-                mcode_chunks.append(mcodes)
+        weight = queries.weight
         # One flat (cell, keyword, match) key array for the whole
-        # day's query stream, resolved in a single bucket gather.  An
-        # empty key set (no query matched any keyword) flows through
-        # the same gather + kernel calls so the spans emit every day.
-        if kw_chunks:
-            kw_all = np.concatenate(kw_chunks)
-            mcode_all = np.concatenate(mcode_chunks)
-        else:
-            kw_all = np.zeros(0, dtype=np.int64)
-            mcode_all = np.zeros(0, dtype=np.int64)
+        # day's query stream, resolved in a single bucket gather.
+        counts, kw_all, mcode_all = matches.expand(queries)
         query_of_key = np.repeat(np.arange(n_queries), counts)
-        keys = bucket_keys(np.repeat(cell_ids, counts), kw_all, mcode_all)
+        keys = bucket_keys(np.repeat(queries.cell, counts), kw_all, mcode_all)
         with obs.span("auction.gather", keys=len(keys)):
             rows, key_index = buckets.gather(keys)
         _CANDIDATES_GATHERED.inc(int(rows.size))
@@ -803,8 +759,8 @@ class SimulationEngine:
             day=np.full(len(lam), time),
             advertiser_id=market.advertiser_id[shown_rows],
             ad_id=market.ad_id[shown_rows],
-            vertical=vertical[shown_seg],
-            country=country[shown_seg],
+            vertical=queries.vertical[shown_seg],
+            country=queries.country[shown_seg],
             match_type=mcode[result.candidate_index],
             position=result.position,
             mainline=result.mainline,
@@ -830,6 +786,7 @@ class SimulationEngine:
         config = self.config
         sampler = QuerySampler(config.query)
         cells = sampler.cells
+        tables = [match_table(v.name) for v in VERTICALS]
         click_config = config.click
         rng_clicks = self._rng_clicks
         for day in range(config.days):
@@ -840,8 +797,8 @@ class SimulationEngine:
             for query in sampler.sample_day(self._rng_queries):
                 cell = cells.cell_of(query.vertical, query.country)
                 candidates: list[Candidate] = []
-                for kw_index, mcode in self._eligible_pairs(
-                    query.vertical, query.seed_index, query.decorated, query.shuffled
+                for kw_index, mcode in tables[query.vertical].eligible_pairs(
+                    query.seed_index, query.decorated, query.shuffled
                 ):
                     rows = buckets.lookup(cell, kw_index, mcode)
                     if rows is None:

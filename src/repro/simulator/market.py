@@ -16,7 +16,7 @@ from .. import obs
 from ..behavior.factory import MaterializedAccount
 from ..records.codes import country_code, match_code, vertical_code
 from ..taxonomy.geography import COUNTRIES
-from .querygen import CellSampler
+from .querygen import CellSampler, slice_index
 
 __all__ = ["MarketIndex", "DayBuckets", "bucket_keys"]
 
@@ -115,14 +115,7 @@ class DayBuckets:
             return empty, empty
         bucket = pos[hit]
         counts = self.counts[bucket]
-        total = int(counts.sum())
-        # Concatenate `rows[start:start+count]` slices without a Python
-        # loop: offsets of each slice within the output, then a running
-        # index that resets at slice boundaries.
-        out_offsets = np.cumsum(counts) - counts
-        within = np.arange(total, dtype=np.int64) - np.repeat(out_offsets, counts)
-        row_index = np.repeat(self.starts[bucket], counts) + within
-        return self.rows[row_index], np.repeat(hit, counts)
+        return self.rows[slice_index(self.starts[bucket], counts)], np.repeat(hit, counts)
 
 
 class MarketIndex:
