@@ -147,13 +147,13 @@ def _bench_columnar(result, days: int) -> dict:
     columns = result.impressions.to_columns()
     rows = len(result.impressions)
     t0 = time.perf_counter()
-    blob = chunk_to_bytes(columns, "columnar", 0, days)
+    blob = chunk_to_bytes(columns, 0, days)
     write_s = time.perf_counter() - t0
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "bench-chunk.npc"
         path.write_bytes(blob)
         t0 = time.perf_counter()
-        load_chunk(path, "columnar")
+        load_chunk(path)
         read_s = time.perf_counter() - t0
         t0 = time.perf_counter()
         read_columns(path, names=["day", "spend"])

@@ -18,14 +18,22 @@
     python -m repro.obs dash RUNS/x --compare RUNS/y --out matrix.html
     python -m repro.obs trend --fail-on total=0.25   # bench-history gate
 
-Reports go to stdout; diagnostics go to stderr via logging.  ``diff``,
-``analyze``, and ``trend`` exit 0 when every ``--fail-on`` rule holds,
-1 on a violation, and 2 when inputs are unreadable.  ``report`` and
-``watch`` on a run with missing telemetry or sidecar print a notice
-and exit 0 -- absent telemetry is a normal state (``telemetry=False``
-or ``progress=False`` runs), not an error.  ``export``, ``analyze``,
-and ``dash`` exit 2 on unreadable inputs: they produce artifacts, so a
-silent no-op would masquerade as success.
+Reports go to stdout; diagnostics go to stderr via logging.
+
+``diff``, ``analyze`` and ``trend`` share one ``--fail-on`` grammar
+(:func:`parse_fail_on`: repeatable or comma-separated
+``name=threshold`` rules; each subcommand names its own rules) and one
+verdict block (``FAIL:`` and the violations, or ``ok: N rule(s)
+held``).  They exit 0 when every rule holds, 1 on a violation, and 2
+when inputs are unreadable or a rule or option is malformed.  For
+``report`` and ``diff``, ``--out`` without ``--json`` exits 2 before
+any input is read.
+
+``report`` and ``watch`` on a run with missing telemetry or sidecar
+print a notice and exit 0 -- absent telemetry is a normal state
+(``telemetry=False`` or ``progress=False`` runs), not an error.
+``export``, ``analyze``, and ``dash`` exit 2 on unreadable inputs: they
+produce artifacts, so a silent no-op would masquerade as success.
 """
 
 from __future__ import annotations
@@ -55,7 +63,77 @@ def _print(text: str) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
+def parse_fail_on(specs: list[str], known: tuple[str, ...]) -> dict[str, float]:
+    """Parse ``--fail-on`` rule strings into ``{rule: threshold}``.
+
+    The one grammar ``diff``, ``analyze`` and ``trend`` share: repeated
+    flags and comma-separated ``name=threshold`` lists.  Raises
+    ``ValueError`` on a rule not in ``known`` or a malformed threshold.
+    """
+    rules: dict[str, float] = {}
+    for spec in specs:
+        for part in spec.split(","):
+            part = part.strip()
+            if not part:
+                continue
+            name, sep, raw = part.partition("=")
+            if not sep:
+                raise ValueError(
+                    f"--fail-on rule {part!r} must be name=threshold"
+                )
+            name = name.strip()
+            if name not in known:
+                raise ValueError(
+                    f"unknown --fail-on rule {name!r} "
+                    f"(known: {', '.join(known)})"
+                )
+            try:
+                rules[name] = float(raw)
+            except ValueError:
+                raise ValueError(
+                    f"--fail-on {name}: threshold {raw!r} is not a number"
+                ) from None
+    return rules
+
+
+def _gate(violations: list[str], rules: dict[str, float]) -> int:
+    """Print the ``--fail-on`` verdict block; returns the exit code."""
+    if violations:
+        _print("")
+        _print("FAIL:")
+        for violation in violations:
+            _print(f"  {violation}")
+        return 1
+    if rules:
+        _print("")
+        _print(f"ok: {len(rules)} rule(s) held")
+    return 0
+
+
+def _out_without_json(args: argparse.Namespace) -> bool:
+    """Whether ``--out`` was given without ``--json`` (checked before
+    any input is read, so the verdict never depends on the inputs)."""
+    if args.out is not None and not args.json:
+        log.error("--out requires --json")
+        return True
+    return False
+
+
+def _emit_json(document: dict, out: Path | None, label: str) -> None:
+    """Print a JSON document, or write it atomically to ``out``."""
+    text = json.dumps(document, indent=2, sort_keys=True)
+    if out is None:
+        _print(text)
+        return
+    from ..records.atomic import atomic_write_text
+
+    atomic_write_text(out, text + "\n")
+    _print(f"wrote {label} -> {out}")
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
+    if _out_without_json(args):
+        return 2
     path = report_path(args.target)
     if not path.exists():
         _print(f"no telemetry found at {path} (run recorded none)")
@@ -66,20 +144,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
         _print(f"no usable telemetry at {path}: {exc}")
         return 0
     if args.json:
-        document = report_json(events, source=path)
-        text = json.dumps(document, indent=2, sort_keys=True)
-        if args.out is not None:
-            from ..records.atomic import atomic_write_text
-
-            atomic_write_text(args.out, text + "\n")
-            _print(f"wrote report -> {args.out}")
-        else:
-            _print(text)
-        return 0
-    if args.out is not None:
-        log.error("--out requires --json")
-        return 2
-    _print(render_report(events, source=path))
+        _emit_json(report_json(events, source=path), args.out, "report")
+    else:
+        _print(render_report(events, source=path))
     return 0
 
 
@@ -170,22 +237,15 @@ def _cmd_runs(args: argparse.Namespace) -> int:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    from .diff import (
-        diff_json,
-        diff_runs,
-        evaluate_fail_on,
-        load_run,
-        parse_fail_on,
-        render_diff,
-    )
+    from .diff import DIFF_RULES, diff_json, diff_runs, evaluate_fail_on, render_diff
+    from .registry import load_run
 
     try:
-        rules = parse_fail_on(args.fail_on)
+        rules = parse_fail_on(args.fail_on, DIFF_RULES)
     except ValueError as exc:
         log.error("%s", exc)
         return 2
-    if args.out is not None and not args.json:
-        log.error("--out requires --json")
+    if _out_without_json(args):
         return 2
     try:
         data_a = load_run(args.run_a)
@@ -197,41 +257,25 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     violations = evaluate_fail_on(diff, rules)
     if args.json:
         document = diff_json(diff, rules=rules or None, violations=violations)
-        text = json.dumps(document, indent=2, sort_keys=True)
-        if args.out is not None:
-            from ..records.atomic import atomic_write_text
-
-            atomic_write_text(args.out, text + "\n")
-            _print(f"wrote diff -> {args.out}")
-        else:
-            _print(text)
+        _emit_json(document, args.out, "diff")
         return 1 if violations else 0
     _print(render_diff(diff))
-    if violations:
-        _print("")
-        _print("FAIL:")
-        for violation in violations:
-            _print(f"  {violation}")
-        return 1
-    if rules:
-        _print("")
-        _print(f"ok: {len(rules)} rule(s) held")
-    return 0
+    return _gate(violations, rules)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from ..records.atomic import atomic_write_text
     from .analyze import (
         ANALYZE_NAME,
+        ANALYZE_RULES,
         analysis_json,
         analysis_to_text,
         analyze_run,
         evaluate_analyze_fail_on,
-        parse_analyze_fail_on,
     )
 
     try:
-        rules = parse_analyze_fail_on(args.fail_on)
+        rules = parse_fail_on(args.fail_on, ANALYZE_RULES)
     except ValueError as exc:
         log.error("%s", exc)
         return 2
@@ -258,15 +302,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     _print(analysis_to_text(document, source=args.run_dir))
     _print("")
     _print(f"wrote analysis -> {out}")
-    if violations:
-        _print("")
-        _print("FAIL:")
-        for violation in violations:
-            _print(f"  {violation}")
-        return 1
-    if rules:
-        _print(f"ok: {len(rules)} rule(s) held")
-    return 0
+    return _gate(violations, rules)
 
 
 def _cmd_dash(args: argparse.Namespace) -> int:
@@ -292,36 +328,21 @@ def _cmd_dash(args: argparse.Namespace) -> int:
 
 def _cmd_trend(args: argparse.Namespace) -> int:
     from .history import (
+        TREND_RULES,
         evaluate_trend_fail_on,
         load_history,
-        parse_trend_fail_on,
         render_trend,
         trend_report,
     )
 
     try:
-        rules = parse_trend_fail_on(args.fail_on)
-    except ValueError as exc:
-        log.error("%s", exc)
-        return 2
-    try:
-        rows = load_history(args.history)
+        rules = parse_fail_on(args.fail_on, TREND_RULES)
+        report = trend_report(load_history(args.history), args.baseline_k)
     except (FileNotFoundError, ValueError) as exc:
         log.error("%s", exc)
         return 2
-    report = trend_report(rows, baseline_k=args.baseline_k)
     _print(render_trend(report))
-    violations = evaluate_trend_fail_on(report, rules)
-    if violations:
-        _print("")
-        _print("FAIL:")
-        for violation in violations:
-            _print(f"  {violation}")
-        return 1
-    if rules:
-        _print("")
-        _print(f"ok: {len(rules)} rule(s) held")
-    return 0
+    return _gate(evaluate_trend_fail_on(report, rules), rules)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -511,7 +532,7 @@ def main(argv: list[str] | None = None) -> int:
         "--baseline-k",
         type=int,
         default=5,
-        help="prior rows per group the baseline median covers (default: 5)",
+        help="prior rows per group the baseline median covers, >= 1 (default: 5)",
     )
     trend.add_argument(
         "--fail-on",

@@ -52,6 +52,7 @@ from .timeseries import DAYLEDGER_NAME, load_rows, policy_days, rows_to_series
 __all__ = [
     "ANALYZE_NAME",
     "ANALYZE_SCHEMA",
+    "ANALYZE_RULES",
     "DEFAULT_WINDOW",
     "DEFAULT_Z_THRESHOLD",
     "DEFAULT_SHIFT_THRESHOLD",
@@ -67,6 +68,9 @@ __all__ = [
 #: Analysis artifact name inside a run directory.
 ANALYZE_NAME = "analyze.json"
 ANALYZE_SCHEMA = "repro.analyze/v1"
+
+#: Rule names ``analyze --fail-on`` accepts.
+ANALYZE_RULES = ("anomalies", "level_shifts")
 
 #: Trailing/flanking window length, in days.  Matches the diff's
 #: ±28-day policy-window convention so every windowed statistic in the
@@ -433,34 +437,6 @@ render_analysis = analysis_to_text
 def analysis_json(document: dict) -> str:
     """Canonical byte-deterministic serialization of a document."""
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
-
-
-def parse_analyze_fail_on(specs: list[str]) -> dict[str, float]:
-    """Parse ``--fail-on`` rules for ``analyze`` (``anomalies=N``,
-    ``level_shifts=N``); raises ``ValueError`` on malformed input."""
-    known = ("anomalies", "level_shifts")
-    rules: dict[str, float] = {}
-    for spec in specs:
-        for part in spec.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            name, sep, raw = part.partition("=")
-            if not sep:
-                raise ValueError(f"--fail-on rule {part!r} must be name=N")
-            name = name.strip()
-            if name not in known:
-                raise ValueError(
-                    f"unknown --fail-on rule {name!r} (known: "
-                    f"{', '.join(known)})"
-                )
-            try:
-                rules[name] = float(raw)
-            except ValueError:
-                raise ValueError(
-                    f"--fail-on {name}: threshold {raw!r} is not a number"
-                ) from None
-    return rules
 
 
 def evaluate_analyze_fail_on(document: dict, rules: dict[str, float]) -> list[str]:

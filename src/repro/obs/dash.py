@@ -13,8 +13,8 @@ helper.  CI renders the dashboard twice and ``cmp``s the two files.
 
 Sections, in order:
 
-* **metadata** -- manifest fields (seed, days, phase, chunk format,
-  config digest, package version) plus registry-style ledger totals;
+* **metadata** -- manifest fields (seed, days, phase, config digest,
+  package version) plus registry-style ledger totals;
 * **sparklines** -- one inline-SVG sparkline per ledger series
   (:data:`~repro.obs.timeseries.LEDGER_SERIES` plus the flattened
   ``shutdowns.*`` stages), with per-day anomaly markers from
@@ -29,6 +29,10 @@ ledger/phase/validation summary rows with one column per run, plus a
 sparkline grid of the key health series across runs -- the visual
 precursor to the scenario sweep harness (one column per swept
 scenario).
+
+Each run directory is read once, by :func:`repro.obs.registry.load_run`;
+the metadata rows come from :func:`~repro.obs.registry.summarize_run`
+over that same :class:`~repro.obs.registry.RunData`.
 """
 
 from __future__ import annotations
@@ -36,8 +40,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .analyze import analyze_rows
-from .diff import RunData, load_run
-from .registry import summarize_run
+from .registry import RunData, load_run, summarize_run
 from .timeseries import policy_days, rows_to_series
 
 __all__ = ["DASHBOARD_NAME", "render_dashboard", "render_compare"]
@@ -274,15 +277,14 @@ def _validation_section(validation: dict | None) -> list[str]:
     return out
 
 
-def _metadata_section(run_dir: Path, data: RunData) -> list[str]:
-    summary = summarize_run(run_dir) or {}
+def _metadata_section(data: RunData) -> list[str]:
+    summary = summarize_run(data) or {}
     ledger = summary.get("ledger") or {}
     rows = [
-        ("run", str(run_dir)),
+        ("run", str(data.path)),
         ("seed", summary.get("seed")),
         ("days", summary.get("days")),
         ("phase", summary.get("phase")),
-        ("chunk format", summary.get("chunk_format")),
         ("chunks / rows", f"{summary.get('chunks', 0)} / "
                           f"{_num(summary.get('rows', 0))}"),
         ("config sha256", (summary.get("config_sha256") or "-")[:16]),
@@ -329,9 +331,8 @@ def render_dashboard(run_dir: str | Path) -> str:
     instead (a run without telemetry still has a ledger worth seeing,
     and vice versa).
     """
-    run_dir = Path(run_dir)
     data = load_run(run_dir)
-    body = _metadata_section(run_dir, data)
+    body = _metadata_section(data)
     if data.ledger_rows is not None:
         analysis = analyze_rows(data.ledger_rows)
         body += _sparkline_section(data.ledger_rows, analysis)
@@ -347,7 +348,7 @@ def render_dashboard(run_dir: str | Path) -> str:
     body += _phase_section(data.phases)
     body += _resources_section(data.resources)
     body += _validation_section(data.validation)
-    return _page(f"repro run — {run_dir.name}", body)
+    return _page(f"repro run — {data.path.name}", body)
 
 
 # ----------------------------------------------------------------------
@@ -451,7 +452,7 @@ class _CompareRun:
     def __init__(self, path: Path) -> None:
         self.path = path
         self.data: RunData = load_run(path)  # raises when absent
-        self.summary: dict = summarize_run(path) or {}
+        self.summary: dict = summarize_run(self.data) or {}
         self.analysis: dict | None = (
             analyze_rows(self.data.ledger_rows)
             if self.data.ledger_rows is not None

@@ -14,6 +14,8 @@ run artifacts record:
   series and, when either run records a policy change, the pre/post
   policy-window means so regime shifts can be compared across runs.
 
+Both runs are read by :func:`repro.obs.registry.load_run`.
+
 ``--fail-on`` turns the comparison into a CI gate.  Rules (repeatable,
 comma-separable):
 
@@ -44,62 +46,31 @@ rule, because "the artifact disappeared" is itself a regression.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
-from .registry import (
-    PHASE_NAMES,
-    last_metrics,
-    load_validation,
-    phase_totals,
-)
-from .report import last_resources, load_events, report_path
-from .timeseries import DAYLEDGER_NAME, load_rows, policy_days, rows_to_series
+from .registry import PHASE_NAMES, RunData
+from .timeseries import DAYLEDGER_NAME, policy_days, rows_to_series
 
 __all__ = [
     "DIFF_SCHEMA",
-    "RunData",
+    "DIFF_RULES",
     "RunDiff",
-    "load_run",
     "diff_runs",
     "diff_json",
-    "parse_fail_on",
     "evaluate_fail_on",
     "render_diff",
 ]
 
 DIFF_SCHEMA = "repro.diff/v1"
 
+#: Rule names ``diff --fail-on`` accepts.
+DIFF_RULES = ("drift", "phase_time", "validation", "degraded", "rss")
+
 #: Days on each side of a policy change over which window means are
 #: computed (four weeks -- matches the paper's quarter-scale framing of
 #: the Year-2 regime shift without washing it out).
 POLICY_WINDOW_DAYS = 28
-
-#: Ledger series whose day totals are compared under ``drift=``.
-#: Derived ratios are recomputed from these, so comparing the raw sums
-#: plus the derived values adds no information but costs nothing.
-
-
-@dataclass
-class RunData:
-    """Everything the diff reads from one run directory."""
-
-    path: Path
-    phases: dict[str, float] | None
-    metrics: dict | None
-    validation: dict | None
-    ledger_rows: list[dict] | None
-    #: On-disk impression chunk format, from ``MANIFEST.json``
-    #: (``None`` without a readable manifest or its key).  Informational
-    #: only: the diff never reads chunk bytes, so runs in different
-    #: formats stay fully comparable.
-    chunk_format: str | None = None
-    #: Resource envelope (:mod:`repro.obs.resources` summary) from the
-    #: run's telemetry, ``None`` when the run recorded none.
-    resources: dict | None = None
-    notes: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -118,48 +89,6 @@ class RunDiff:
     series_divergence: dict[str, float]
     #: policy day -> series -> {"a": (pre, post), "b": (pre, post)}.
     policy_windows: dict[int, dict[str, dict[str, tuple[float, float]]]]
-
-
-def load_run(run_dir: str | Path) -> RunData:
-    """Read one run directory's comparable artifacts (best-effort)."""
-    run_dir = Path(run_dir)
-    if not run_dir.is_dir():
-        raise FileNotFoundError(f"{run_dir}: not a run directory")
-    data = RunData(
-        path=run_dir, phases=None, metrics=None, validation=None,
-        ledger_rows=None,
-    )
-    telemetry = report_path(run_dir)
-    if telemetry.exists():
-        try:
-            events = load_events(telemetry)
-            data.phases = phase_totals(events)
-            data.metrics = last_metrics(events)
-            data.resources = last_resources(events)
-        except ValueError as exc:
-            data.notes.append(f"telemetry unreadable: {exc}")
-    else:
-        data.notes.append("no telemetry.jsonl")
-    manifest_path = run_dir / "MANIFEST.json"
-    if manifest_path.exists():
-        try:
-            manifest = json.loads(manifest_path.read_text())
-            if isinstance(manifest, dict):
-                data.chunk_format = manifest.get("chunk_format")
-        except (OSError, ValueError):
-            data.notes.append("manifest unreadable")
-    data.validation = load_validation(run_dir)
-    if data.validation is None:
-        data.notes.append("no validation artifact")
-    ledger = run_dir / DAYLEDGER_NAME
-    if ledger.exists():
-        try:
-            data.ledger_rows = load_rows(ledger)
-        except ValueError as exc:
-            data.notes.append(f"ledger unreadable: {exc}")
-    else:
-        data.notes.append(f"no {DAYLEDGER_NAME}")
-    return data
 
 
 def _relative_divergence(a: float, b: float) -> float:
@@ -251,40 +180,6 @@ def diff_runs(a: RunData, b: RunData) -> RunDiff:
 # ----------------------------------------------------------------------
 # --fail-on rules
 # ----------------------------------------------------------------------
-
-_RULES = ("drift", "phase_time", "validation", "degraded", "rss")
-
-
-def parse_fail_on(specs: list[str]) -> dict[str, float]:
-    """Parse ``--fail-on`` rule strings into ``{rule: threshold}``.
-
-    Accepts repeated flags and comma-separated lists; raises
-    ``ValueError`` on an unknown rule or malformed threshold.
-    """
-    rules: dict[str, float] = {}
-    for spec in specs:
-        for part in spec.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            name, sep, raw = part.partition("=")
-            if not sep:
-                raise ValueError(
-                    f"--fail-on rule {part!r} must be name=threshold"
-                )
-            name = name.strip()
-            if name not in _RULES:
-                raise ValueError(
-                    f"unknown --fail-on rule {name!r} "
-                    f"(known: {', '.join(_RULES)})"
-                )
-            try:
-                rules[name] = float(raw)
-            except ValueError:
-                raise ValueError(
-                    f"--fail-on {name}: threshold {raw!r} is not a number"
-                ) from None
-    return rules
 
 
 def evaluate_fail_on(diff: RunDiff, rules: dict[str, float]) -> list[str]:
@@ -465,10 +360,6 @@ def diff_json(
         },
         "policy_windows": policy_windows,
         "rss_peak_kb": {"a": peak(diff.a), "b": peak(diff.b)},
-        "chunk_formats": {
-            "a": diff.a.chunk_format,
-            "b": diff.b.chunk_format,
-        },
         "notes": {"a": list(diff.a.notes), "b": list(diff.b.notes)},
     }
     if rules is not None:
@@ -571,16 +462,6 @@ def render_diff(diff: RunDiff, top_series: int = 12) -> str:
     notes = [f"a: {n}" for n in diff.a.notes] + [
         f"b: {n}" for n in diff.b.notes
     ]
-    if (
-        diff.a.chunk_format is not None
-        and diff.b.chunk_format is not None
-        and diff.a.chunk_format != diff.b.chunk_format
-    ):
-        notes.append(
-            f"chunk formats differ (a: {diff.a.chunk_format}, "
-            f"b: {diff.b.chunk_format}); the diff never reads chunk "
-            f"bytes, so every axis above is format-independent"
-        )
     if notes:
         lines.append("")
         lines.append("notes:")

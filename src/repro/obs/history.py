@@ -56,7 +56,7 @@ __all__ = [
     "DEFAULT_BASELINE_K",
     "load_history",
     "trend_report",
-    "parse_trend_fail_on",
+    "TREND_RULES",
     "evaluate_trend_fail_on",
     "render_trend",
 ]
@@ -69,6 +69,9 @@ DEFAULT_HISTORY_NAME = "BENCH_history.jsonl"
 
 #: Rows (per group) the rolling baseline median is computed over.
 DEFAULT_BASELINE_K = 5
+
+#: Rule names ``trend --fail-on`` accepts.
+TREND_RULES = ("phase", "total", "throughput")
 
 #: Time metrics (seconds; larger is a regression).  ``total_s`` is
 #: carried separately because the gate thresholds it independently.
@@ -161,7 +164,10 @@ def trend_report(rows: list[dict], baseline_k: int = DEFAULT_BASELINE_K) -> dict
     medians, and the signed regression fraction per metric (positive =
     worse).  ``latest_key`` names the group of the newest row overall
     (by file order) -- the measurement a CI gate just appended.
+    Raises ``ValueError`` when ``baseline_k`` is below 1.
     """
+    if baseline_k < 1:
+        raise ValueError(f"baseline_k must be >= 1, got {baseline_k}")
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
         groups.setdefault(_group_key(row), []).append(row)
@@ -207,38 +213,6 @@ def trend_report(rows: list[dict], baseline_k: int = DEFAULT_BASELINE_K) -> dict
             else None
         ),
     }
-
-
-_TREND_RULES = ("phase", "total", "throughput")
-
-
-def parse_trend_fail_on(specs: list[str]) -> dict[str, float]:
-    """Parse trend ``--fail-on`` rules; raises ``ValueError`` when
-    malformed (same grammar as the diff gate's)."""
-    rules: dict[str, float] = {}
-    for spec in specs:
-        for part in spec.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            name, sep, raw = part.partition("=")
-            if not sep:
-                raise ValueError(
-                    f"--fail-on rule {part!r} must be name=threshold"
-                )
-            name = name.strip()
-            if name not in _TREND_RULES:
-                raise ValueError(
-                    f"unknown --fail-on rule {name!r} "
-                    f"(known: {', '.join(_TREND_RULES)})"
-                )
-            try:
-                rules[name] = float(raw)
-            except ValueError:
-                raise ValueError(
-                    f"--fail-on {name}: threshold {raw!r} is not a number"
-                ) from None
-    return rules
 
 
 def evaluate_trend_fail_on(report: dict, rules: dict[str, float]) -> list[str]:

@@ -12,6 +12,11 @@ how did they do?" without re-parsing every artifact::
     python -m repro.obs runs list RUNS/           # table to stdout
     python -m repro.obs runs show RUNS/x          # one run, full JSON
 
+:func:`load_run` is the one reader of those artifacts: it parses a run
+directory's manifest, telemetry, validation artifact and day ledger
+once into a :class:`RunData`, which the registry summary, ``repro.obs
+diff`` and the dashboards all read from.
+
 Reading is strictly best-effort: a run directory missing any artifact
 (telemetry disabled, validation never run, pre-ledger layout) still
 indexes -- the corresponding summary section is simply ``null``.  Only
@@ -23,17 +28,20 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .analyze import ANALYZE_NAME
 from .progress import load_progress
-from .report import aggregate_spans, load_events, report_path
+from .report import aggregate_spans, last_resources, load_events, report_path
 from .timeseries import DAYLEDGER_NAME, load_rows, policy_days, rows_to_series
 
 __all__ = [
     "RUNS_INDEX_NAME",
     "VALIDATION_JSON_NAME",
     "PHASE_NAMES",
+    "RunData",
+    "load_run",
     "live_status",
     "summarize_run",
     "index_runs",
@@ -124,13 +132,71 @@ def load_validation(run_dir: str | Path) -> dict | None:
     return None
 
 
-def _ledger_summary(run_dir: Path) -> dict | None:
-    path = run_dir / DAYLEDGER_NAME
-    if not path.exists():
-        return None
-    try:
-        rows = load_rows(path)
-    except (OSError, ValueError):
+@dataclass
+class RunData:
+    """A run directory's shared artifacts, each parsed once."""
+
+    path: Path
+    #: The parsed ``MANIFEST.json``; ``None`` when missing or unreadable.
+    manifest: dict | None = None
+    phases: dict[str, float] | None = None
+    metrics: dict | None = None
+    #: Resource envelope (:mod:`repro.obs.resources` summary) from the
+    #: run's telemetry, ``None`` when the run recorded none.
+    resources: dict | None = None
+    validation: dict | None = None
+    ledger_rows: list[dict] | None = None
+    notes: list[str] = field(default_factory=list)
+
+
+def load_run(run_dir: str | Path) -> RunData:
+    """Read one run directory's artifacts (best-effort).
+
+    Raises ``FileNotFoundError`` only when ``run_dir`` is not a
+    directory; a missing or unreadable artifact leaves its field
+    ``None`` and adds a note.
+    """
+    run_dir = Path(run_dir)
+    if not run_dir.is_dir():
+        raise FileNotFoundError(f"{run_dir}: not a run directory")
+    data = RunData(path=run_dir)
+    telemetry = report_path(run_dir)
+    if telemetry.exists():
+        try:
+            events = load_events(telemetry)
+            data.phases = phase_totals(events)
+            data.metrics = last_metrics(events)
+            data.resources = last_resources(events)
+        except ValueError as exc:
+            data.notes.append(f"telemetry unreadable: {exc}")
+    else:
+        data.notes.append("no telemetry.jsonl")
+    manifest_path = run_dir / "MANIFEST.json"
+    if manifest_path.exists():
+        try:
+            manifest = json.loads(manifest_path.read_text())
+        except (OSError, ValueError):
+            manifest = None
+        if isinstance(manifest, dict):
+            data.manifest = manifest
+        else:
+            data.notes.append("manifest unreadable")
+    data.validation = load_validation(run_dir)
+    if data.validation is None:
+        data.notes.append("no validation artifact")
+    ledger = run_dir / DAYLEDGER_NAME
+    if ledger.exists():
+        try:
+            data.ledger_rows = load_rows(ledger)
+        except (OSError, ValueError) as exc:
+            data.notes.append(f"ledger unreadable: {exc}")
+    else:
+        data.notes.append(f"no {DAYLEDGER_NAME}")
+    return data
+
+
+def _ledger_summary(rows: list[dict] | None) -> dict | None:
+    if rows is None:
         return None
     series = rows_to_series(rows)
 
@@ -232,49 +298,41 @@ def live_status(run_dir: str | Path) -> dict | None:
     }
 
 
-def summarize_run(run_dir: str | Path) -> dict | None:
-    """One registry record for a run directory.
+def summarize_run(run: str | Path | RunData) -> dict | None:
+    """One registry record for a run directory or an already-loaded run.
 
     Returns ``None`` when the directory has no readable manifest (not a
     run directory); otherwise every other section is best-effort.
     """
-    run_dir = Path(run_dir)
-    try:
-        manifest = json.loads((run_dir / "MANIFEST.json").read_text())
-        if not isinstance(manifest, dict):
+    if not isinstance(run, RunData):
+        if not Path(run).is_dir():
             return None
-    except (OSError, json.JSONDecodeError):
+        run = load_run(run)
+    manifest = run.manifest
+    if manifest is None:
         return None
-
+    run_dir = run.path
     chunks = manifest.get("chunks") or []
-    summary: dict = {
+    return {
         "dir": run_dir.name,
         "path": str(run_dir),
         "seed": manifest.get("seed"),
         "days": manifest.get("days"),
         "phase": manifest.get("phase"),
-        "chunk_format": manifest.get("chunk_format"),
         "config_sha256": manifest.get("config_sha256"),
         "package_version": manifest.get("package_version"),
         "chunks": len(chunks),
         "rows": sum(int(c.get("rows", 0)) for c in chunks),
-        "phases_s": None,
+        "phases_s": run.phases,
         "live": live_status(run_dir),
-        "validation": load_validation(run_dir),
-        "ledger": _ledger_summary(run_dir),
+        "validation": run.validation,
+        "ledger": _ledger_summary(run.ledger_rows),
         "analysis": _analysis_summary(run_dir),
         "artifacts": sorted(
             name for name in _ARTIFACT_NAMES if (run_dir / name).exists()
         ),
         "bench": _bench_summary(run_dir),
     }
-    telemetry = report_path(run_dir)
-    if telemetry.exists():
-        try:
-            summary["phases_s"] = phase_totals(load_events(telemetry))
-        except ValueError:
-            pass
-    return summary
 
 
 def index_runs(root: str | Path, out: str | Path | None = None) -> dict:

@@ -27,7 +27,7 @@ from .._version import __version__
 from ..config import SimulationConfig, config_from_dict
 from ..errors import ConfigError, SimulationError
 from ..records.atomic import atomic_write_text
-from .chunkstore import CHUNK_FORMATS, DEFAULT_CHUNK_FORMAT
+from .chunkstore import CHUNK_FORMAT
 
 __all__ = [
     "MANIFEST_NAME",
@@ -111,15 +111,12 @@ class RunManifest:
     phase3_start_rng: dict | None = None
     chunks: list[ChunkEntry] = field(default_factory=list)
     #: Serialization format of every file under ``chunks/`` (see
-    #: :mod:`repro.runner.chunkstore`).
-    chunk_format: str = DEFAULT_CHUNK_FORMAT
+    #: :mod:`repro.runner.chunkstore`); always ``"columnar"``.
+    chunk_format: str = CHUNK_FORMAT
 
     @classmethod
     def fresh(
-        cls,
-        config: SimulationConfig,
-        checkpoint_every: int,
-        chunk_format: str = DEFAULT_CHUNK_FORMAT,
+        cls, config: SimulationConfig, checkpoint_every: int
     ) -> "RunManifest":
         """Manifest for a run that has not generated anything yet."""
         return cls(
@@ -128,7 +125,6 @@ class RunManifest:
             days=config.days,
             checkpoint_every=checkpoint_every,
             config=dataclasses.asdict(config),
-            chunk_format=chunk_format,
         )
 
     def simulation_config(self) -> SimulationConfig:
@@ -218,7 +214,7 @@ class RunManifest:
             raise SimulationError(
                 f"manifest {path} has unknown phase {manifest.phase!r}"
             )
-        if manifest.chunk_format not in CHUNK_FORMATS:
+        if manifest.chunk_format != CHUNK_FORMAT:
             raise SimulationError(
                 f"manifest {path} has unknown chunk format "
                 f"{manifest.chunk_format!r}"

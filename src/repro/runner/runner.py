@@ -10,11 +10,9 @@ Run directory layout::
         chunk-00000-00007.npc   impression rows for days [0, 7), append-only
         chunk-00007-00014.npc   ...
 
-Chunks are columnar bundles (:mod:`repro.records.columnar`) by default;
-the manifest's ``chunk_format`` field records which of the two
-:mod:`repro.runner.chunkstore` formats (``columnar``/``jsonl``) a
-directory uses, and resume always reads/writes the recorded format
-regardless of what a fresh run would pick.
+Chunks are columnar bundles (:mod:`repro.records.columnar`, written
+and read by :mod:`repro.runner.chunkstore`); the manifest's
+``chunk_format`` field is always ``"columnar"``.
 
 Crash-consistency protocol: every artifact lands via tmp-file + fsync +
 ``os.replace`` (:mod:`repro.records.atomic`), and ``MANIFEST.json`` is
@@ -67,12 +65,7 @@ from ..records.impressions import ImpressionBuilder
 from ..simulator.engine import SimulationEngine
 from ..simulator.market import MarketIndex
 from ..simulator.results import SimulationResult
-from .chunkstore import (
-    DEFAULT_CHUNK_FORMAT,
-    chunk_file_name,
-    chunk_to_bytes,
-    load_chunk,
-)
+from .chunkstore import chunk_file_name, chunk_to_bytes, load_chunk
 from .faults import FaultPlan
 from .manifest import MANIFEST_NAME, ChunkEntry, RunManifest, config_sha256
 
@@ -110,17 +103,12 @@ class CheckpointRunner:
         ledger: bool = True,
         progress: bool = True,
         resources: bool = True,
-        chunk_format: str = DEFAULT_CHUNK_FORMAT,
     ) -> None:
         if checkpoint_every < 1:
             raise ConfigError("checkpoint_every must be >= 1")
-        # Validate the format up front (fail fast on typos); a resumed
-        # run later overrides this with whatever its manifest records.
-        chunk_file_name(0, 0, chunk_format)
         self.config = config
         self.run_dir = Path(run_dir)
         self.checkpoint_every = checkpoint_every
-        self.chunk_format = chunk_format
         self.telemetry = telemetry
         self.ledger = ledger
         self.progress = progress
@@ -310,22 +298,14 @@ class CheckpointRunner:
                 manifest = RunManifest.load(self.manifest_path)
                 self._check_compatible(manifest)
                 manifest.checkpoint_every = self.checkpoint_every
-                # The directory's existing chunks dictate the format;
-                # a fresh-run preference never rewrites history.
-                self.chunk_format = manifest.chunk_format
                 obs.event(
                     "runner.resume",
                     phase=manifest.phase,
                     next_day=manifest.next_day,
                     chunks=len(manifest.chunks),
-                    chunk_format=manifest.chunk_format,
                 )
             else:
-                manifest = RunManifest.fresh(
-                    self.config,
-                    self.checkpoint_every,
-                    chunk_format=self.chunk_format,
-                )
+                manifest = RunManifest.fresh(self.config, self.checkpoint_every)
                 manifest.save(self.manifest_path)
                 obs.event(
                     "runner.start",
@@ -463,9 +443,7 @@ class CheckpointRunner:
     # ------------------------------------------------------------------
 
     def _chunk_path(self, day_start: int, day_end: int) -> Path:
-        return self.chunk_dir / chunk_file_name(
-            day_start, day_end, self.chunk_format
-        )
+        return self.chunk_dir / chunk_file_name(day_start, day_end)
 
     def _validate_chunks(self, manifest: RunManifest) -> list[dict]:
         """Verify and load every durable chunk, pruning a corrupt tail.
@@ -480,7 +458,7 @@ class CheckpointRunner:
             path = self.run_dir / entry.file
             intact = path.exists() and sha256_file(path) == entry.sha256
             if intact:
-                chunk = load_chunk(path, manifest.chunk_format)
+                chunk = load_chunk(path)
                 if chunk is None:
                     intact = False
                 else:
@@ -549,7 +527,7 @@ class CheckpointRunner:
         day_end: int,
     ) -> None:
         path = self._chunk_path(day_start, day_end)
-        data = chunk_to_bytes(chunk, self.chunk_format, day_start, day_end)
+        data = chunk_to_bytes(chunk, day_start, day_end)
         atomic_write_bytes(path, data)
         manifest.chunks.append(
             ChunkEntry(

@@ -6,9 +6,10 @@ import json
 
 import pytest
 
-from repro.obs.__main__ import main as obs_main
+from repro.obs.__main__ import main as obs_main, parse_fail_on
 from repro.obs.analyze import (
     ANALYZE_NAME,
+    ANALYZE_RULES,
     ANALYZE_SCHEMA,
     analysis_json,
     analyze_rows,
@@ -16,7 +17,6 @@ from repro.obs.analyze import (
     detect_anomalies,
     detect_level_shifts,
     evaluate_analyze_fail_on,
-    parse_analyze_fail_on,
     policy_effects,
     rolling_mad_scores,
 )
@@ -149,14 +149,14 @@ class TestAnalyzeRows:
 
 class TestFailOn:
     def test_parse_rules(self):
-        rules = parse_analyze_fail_on(["anomalies=0,level_shifts=2"])
+        rules = parse_fail_on(["anomalies=0,level_shifts=2"], ANALYZE_RULES)
         assert rules == {"anomalies": 0.0, "level_shifts": 2.0}
         with pytest.raises(ValueError, match="unknown"):
-            parse_analyze_fail_on(["bogus=1"])
-        with pytest.raises(ValueError, match="must be name=N"):
-            parse_analyze_fail_on(["anomalies"])
+            parse_fail_on(["bogus=1"], ANALYZE_RULES)
+        with pytest.raises(ValueError, match="name=threshold"):
+            parse_fail_on(["anomalies"], ANALYZE_RULES)
         with pytest.raises(ValueError, match="not a number"):
-            parse_analyze_fail_on(["anomalies=lots"])
+            parse_fail_on(["anomalies=lots"], ANALYZE_RULES)
 
     def test_gate_budgets_unexplained_only(self):
         explained = analyze_rows(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 from repro.obs.__main__ import main as obs_main
 from repro.obs.dash import DASHBOARD_NAME, render_compare, render_dashboard
@@ -76,6 +77,23 @@ class TestRenderCompare:
         assert "<th>a</th>" in html and "<th>b</th>" in html
         assert "Health series per run" in html
         assert html == render_compare([run_a, run_b])
+
+    def test_each_run_is_parsed_once(self, tmp_path, monkeypatch):
+        run_a = make_run(tmp_path, "a", ledger=_spiked_ledger())
+        run_b = make_run(tmp_path, "b")
+        reads = []
+        real_read_text = Path.read_text
+
+        def counting_read_text(self, *args, **kwargs):
+            reads.append(f"{self.parent.name}/{self.name}")
+            return real_read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting_read_text)
+        render_compare([run_a, run_b])
+        shared = ("MANIFEST.json", "telemetry.jsonl", DAYLEDGER_NAME)
+        for run in ("a", "b"):
+            for name in shared:
+                assert reads.count(f"{run}/{name}") == 1, (run, name)
 
     def test_compare_tolerates_missing_ledger(self, tmp_path):
         run_a = make_run(tmp_path, "a")

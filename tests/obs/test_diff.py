@@ -8,14 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs.__main__ import main as obs_main
-from repro.obs.diff import (
-    diff_runs,
-    evaluate_fail_on,
-    load_run,
-    parse_fail_on,
-    render_diff,
-)
+from repro.obs.__main__ import main as obs_main, parse_fail_on
+from repro.obs.diff import DIFF_RULES, diff_runs, evaluate_fail_on, render_diff
+from repro.obs.registry import load_run
 from repro.obs.timeseries import DAYLEDGER_NAME, DayLedger
 
 
@@ -71,14 +66,11 @@ def make_run(
     validation_ok: tuple[str, ...] = ("fraud_share", "cpc"),
     validation_miss: tuple[str, ...] = (),
     rss_peak_kb: float | None = None,
-    chunk_format: str | None = "columnar",
 ) -> Path:
     """Synthesize a minimal but complete run directory."""
     run_dir = root / name
     run_dir.mkdir(parents=True)
     manifest = {"seed": 7, "days": 4, "phase": "complete", "chunks": []}
-    if chunk_format is not None:
-        manifest["chunk_format"] = chunk_format
     (run_dir / "MANIFEST.json").write_text(json.dumps(manifest))
     events = [
         _span(1, None, "runner.run", dur=phase3_s + 1.0),
@@ -120,29 +112,6 @@ def make_run(
     return run_dir
 
 
-class TestChunkFormats:
-    def test_differing_formats_are_noted_not_gated(self, tmp_path):
-        a = load_run(make_run(tmp_path, "a"))
-        b = load_run(make_run(tmp_path, "b", chunk_format="jsonl"))
-        assert (a.chunk_format, b.chunk_format) == ("columnar", "jsonl")
-        diff = diff_runs(a, b)
-        assert evaluate_fail_on(diff, {"drift": 0.0}) == []
-        text = render_diff(diff)
-        assert "chunk formats differ (a: columnar, b: jsonl)" in text
-        assert "format-independent" in text
-
-    def test_same_format_runs_have_no_format_note(self, tmp_path):
-        a = load_run(make_run(tmp_path, "a"))
-        b = load_run(make_run(tmp_path, "b"))
-        assert "chunk formats differ" not in render_diff(diff_runs(a, b))
-
-    def test_manifest_without_chunk_format_reads_as_none(self, tmp_path):
-        a = load_run(make_run(tmp_path, "a", chunk_format=None))
-        b = load_run(make_run(tmp_path, "b"))
-        assert a.chunk_format is None
-        assert "chunk formats differ" not in render_diff(diff_runs(a, b))
-
-
 class TestDiffRuns:
     def test_identical_runs_have_zero_divergence(self, tmp_path):
         a = make_run(tmp_path, "a")
@@ -152,7 +121,7 @@ class TestDiffRuns:
         assert all(d == 0.0 for d in diff.series_divergence.values())
         assert diff.counter_deltas == {}
         assert diff.new_misses == []
-        assert evaluate_fail_on(diff, parse_fail_on(["drift=0"])) == []
+        assert evaluate_fail_on(diff, {"drift": 0.0}) == []
 
     def test_perturbed_ledger_fails_drift_zero(self, tmp_path):
         a = make_run(tmp_path, "a")
@@ -234,23 +203,21 @@ class TestDiffRuns:
 
 class TestParseFailOn:
     def test_comma_and_repeat_forms(self):
-        assert parse_fail_on(["drift=0,phase_time=0.25", "validation=1"]) == {
-            "drift": 0.0,
-            "phase_time": 0.25,
-            "validation": 1.0,
-        }
+        assert parse_fail_on(
+            ["drift=0,phase_time=0.25", "validation=1"], DIFF_RULES
+        ) == {"drift": 0.0, "phase_time": 0.25, "validation": 1.0}
 
     def test_unknown_rule_raises(self):
         with pytest.raises(ValueError, match="unknown --fail-on rule"):
-            parse_fail_on(["latency=3"])
+            parse_fail_on(["latency=3"], DIFF_RULES)
 
     def test_missing_threshold_raises(self):
         with pytest.raises(ValueError, match="name=threshold"):
-            parse_fail_on(["drift"])
+            parse_fail_on(["drift"], DIFF_RULES)
 
     def test_non_numeric_threshold_raises(self):
         with pytest.raises(ValueError, match="not a number"):
-            parse_fail_on(["drift=tight"])
+            parse_fail_on(["drift=tight"], DIFF_RULES)
 
 
 class TestDiffCli:
@@ -301,7 +268,7 @@ class TestDegradedRule:
         a = make_run(tmp_path, "a")
         b = make_run(tmp_path, "b")
         diff = diff_runs(load_run(a), load_run(b))
-        assert evaluate_fail_on(diff, parse_fail_on(["degraded=0"])) == []
+        assert evaluate_fail_on(diff, {"degraded": 0.0}) == []
 
     def test_degraded_counters_fail_budget(self, tmp_path):
         a = make_run(tmp_path, "a")
@@ -337,7 +304,7 @@ class TestRssRule:
         a = make_run(tmp_path, "a", rss_peak_kb=100_000.0)
         b = make_run(tmp_path, "b", rss_peak_kb=100_000.0)
         diff = diff_runs(load_run(a), load_run(b))
-        assert evaluate_fail_on(diff, parse_fail_on(["rss=0"])) == []
+        assert evaluate_fail_on(diff, {"rss": 0.0}) == []
 
     def test_growth_beyond_fraction_violates(self, tmp_path):
         a = make_run(tmp_path, "a", rss_peak_kb=100_000.0)
@@ -371,7 +338,7 @@ class TestRssRule:
         assert violations and "no resource envelope" in violations[0]
 
     def test_parse_accepts_rss(self):
-        assert parse_fail_on(["rss=0.05"]) == {"rss": 0.05}
+        assert parse_fail_on(["rss=0.05"], DIFF_RULES) == {"rss": 0.05}
 
     def test_render_diff_shows_peak_rss_line(self, tmp_path):
         a = make_run(tmp_path, "a", rss_peak_kb=100_000.0)

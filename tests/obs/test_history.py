@@ -7,11 +7,11 @@ import logging
 
 import pytest
 
-from repro.obs.__main__ import main as obs_main
+from repro.obs.__main__ import main as obs_main, parse_fail_on
 from repro.obs.history import (
+    TREND_RULES,
     evaluate_trend_fail_on,
     load_history,
-    parse_trend_fail_on,
     render_trend,
     trend_report,
 )
@@ -116,6 +116,12 @@ class TestTrendReport:
         assert total["value"] == 50.0
         assert total["regression"] == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_baseline_k_below_one_raises(self, k):
+        rows = [_row(total=10.0), _row(total=20.0)]
+        with pytest.raises(ValueError, match="baseline_k must be >= 1"):
+            trend_report(rows, baseline_k=k)
+
     def test_first_measurement_has_no_baseline(self):
         report = trend_report([_row()])
         total = report["groups"][0]["metrics"]["total_s"]
@@ -133,14 +139,14 @@ class TestTrendReport:
 
 class TestFailOn:
     def test_parse_rules(self):
-        assert parse_trend_fail_on(["total=0.25,phase=0.5"]) == {
+        assert parse_fail_on(["total=0.25,phase=0.5"], TREND_RULES) == {
             "total": 0.25,
             "phase": 0.5,
         }
         with pytest.raises(ValueError, match="unknown"):
-            parse_trend_fail_on(["speed=1"])
+            parse_fail_on(["speed=1"], TREND_RULES)
         with pytest.raises(ValueError, match="not a number"):
-            parse_trend_fail_on(["total=slow"])
+            parse_fail_on(["total=slow"], TREND_RULES)
 
     def test_total_rule_fires_on_regression(self):
         report = trend_report([_row(total=10.0), _row(total=14.0)])
@@ -202,6 +208,16 @@ class TestCli:
         )
         assert code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_baseline_k_below_one_exit_2(self, tmp_path, capsys, k):
+        # prior[-k:] with k <= 0 is every prior row, or all but the
+        # first |k|, never "the last k": such a baseline is meaningless.
+        path = tmp_path / "hist.jsonl"
+        _write(path, [_row(total=10.0), _row(total=10.5)])
+        code = obs_main(["trend", "--history", str(path), "--baseline-k", str(k)])
+        assert code == 2
+        assert "bench trend" not in capsys.readouterr().out
 
     def test_render_trend_no_rows(self):
         assert "no benchmark history rows" in render_trend(

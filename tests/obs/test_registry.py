@@ -45,13 +45,6 @@ class TestSummarizeRun:
         assert ledger["registrations"] == 28.0  # 4 days x (5 + 2)
         assert ledger["clicks"] == 40.0
 
-    def test_chunk_format_comes_from_manifest(self, tmp_path):
-        assert summarize_run(make_run(tmp_path, "a"))["chunk_format"] == "columnar"
-        jsonl = make_run(tmp_path, "b", chunk_format="jsonl")
-        assert summarize_run(jsonl)["chunk_format"] == "jsonl"
-        missing = make_run(tmp_path, "c", chunk_format=None)
-        assert summarize_run(missing)["chunk_format"] is None
-
     def test_non_run_directory_returns_none(self, tmp_path):
         assert summarize_run(tmp_path) is None
         (tmp_path / "MANIFEST.json").write_text("not json")

@@ -219,3 +219,10 @@ class TestReportJson:
         assert obs_main(
             ["report", str(tmp_path), "--out", str(tmp_path / "r.json")]
         ) == 2
+
+    def test_cli_out_without_json_is_an_error_without_telemetry(self, tmp_path):
+        # The flag check comes before any input is read: a directory
+        # with no telemetry must not turn the misuse into exit 0.
+        target = tmp_path / "r.json"
+        assert obs_main(["report", str(tmp_path), "--out", str(target)]) == 2
+        assert not target.exists()

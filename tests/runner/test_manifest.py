@@ -159,21 +159,27 @@ def _npz_chunk_format(payload):
     payload["chunk_format"] = "npz"
 
 
+def _jsonl_chunk_format(payload):
+    payload["chunk_format"] = "jsonl"
+
+
 @pytest.mark.parametrize(
     ("edit", "named"),
     [
         (_drop_chunk_format, "'chunk_format'"),
         (_drop_config, "'config'"),
         (_npz_chunk_format, "'npz'"),
+        (_jsonl_chunk_format, "'jsonl'"),
     ],
-    ids=["no-chunk-format", "no-config", "npz-chunk-format"],
+    ids=["no-chunk-format", "no-config", "npz-chunk-format", "jsonl-chunk-format"],
 )
 def test_manifest_without_current_layout_is_refused(
     tmp_path, real_run, edit, named
 ):
     """Only the current run-directory layout loads: a manifest missing
-    ``chunk_format`` or ``config``, or naming the retired ``npz``
-    format, is refused everywhere it is read, with the culprit named."""
+    ``chunk_format`` or ``config``, or naming a retired chunk encoding
+    (``npz``, ``jsonl``), is refused everywhere it is read, with the
+    culprit named."""
     run_dir = tmp_path / "run"
     shutil.copytree(real_run, run_dir)
     path = run_dir / MANIFEST_NAME
