@@ -1,10 +1,16 @@
-"""Materialize behaviour profiles into marketplace entities.
+"""Materialize behaviour profiles into columnar account records.
 
-Given an :class:`AdvertiserProfile`, the factory creates the account,
-its campaigns, ads and keyword bids, with creation timestamps staggered
-over the account's life, and pre-samples maintenance (modification)
-events.  After the detection pipeline fixes the account's end time, the
-materialization is trimmed so nothing is "created" after shutdown.
+Given an :class:`AdvertiserProfile`, the factory draws the account's
+ads and keyword bids, with creation timestamps staggered over the
+account's life, and pre-samples maintenance (modification) events.
+Everything is recorded as columns of one :class:`MaterializedAccount`;
+no per-ad or per-bid object is built.  After the detection pipeline
+fixes the account's end time, the account is trimmed so nothing is
+"created" after shutdown.
+
+:func:`materialize_account` is the scalar reference (the differential
+oracle); :func:`repro.behavior.batch.materialize_account_batch` replays
+its draws faster and fills the same columns.
 
 Performance note: only a bounded number of keyword offers per campaign
 enter the auction *index* (``MAX_INDEXED_OFFERS_PER_CAMPAIGN``); very
@@ -15,15 +21,15 @@ representative sample.  Activity scaling compensates for volume.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import obs
 from ..auction.quality import quality_score
 from ..config import SimulationConfig
-from ..entities.ad import Ad
 from ..entities.advertiser import Advertiser
-from ..entities.campaign import Campaign
 from ..entities.domains import (
     AFFILIATE_DOMAINS,
     SHORTENER_DOMAINS,
@@ -31,16 +37,14 @@ from ..entities.domains import (
     unique_domain,
 )
 from ..entities.enums import MatchType
-from ..entities.keyword import KeywordBid
-from ..taxonomy.adcopy import render_ad
+from ..records.codes import match_code
+from ..taxonomy.adcopy import AdCopy, render_ad
 from ..taxonomy.geography import country as country_info
 from ..taxonomy.keywords import keyword_pool, keyword_weights, risky_keyword_mask
 from ..taxonomy.verticals import vertical as vertical_info
 from .profiles import AdvertiserProfile
 
 __all__ = [
-    "Offer",
-    "CampaignBidStats",
     "MaterializedAccount",
     "IdAllocator",
     "materialize_account",
@@ -69,115 +73,102 @@ class IdAllocator:
         return self._next_ad
 
 
-@dataclass
-class Offer:
-    """One auction-eligible (advertiser, ad, keyword bid) unit.
+#: Column groups of :class:`MaterializedAccount` that share one length.
+_AD_COLUMNS = ("ad_ids", "ad_copies", "ad_domains", "ad_creation_times")
+_BID_COLUMNS = ("kw_idx_cols", "mcode_cols", "max_bid_cols", "created_cols")
+_OFFER_COLUMNS = (
+    "offer_campaign",
+    "offer_ad_id",
+    "offer_kw",
+    "offer_mcode",
+    "offer_max_bid",
+    "offer_quality",
+    "offer_click_quality",
+    "offer_created",
+)
 
-    Quality is precomputed: it depends only on static account/ad/
-    vertical/match-type attributes.  ``kw_index`` is the keyword's
-    position in its vertical's pool, used by the engine's
-    pre-computed match tables.
-    """
-
-    advertiser: Advertiser
-    profile: AdvertiserProfile
-    vertical: str
-    country: str
-    ad: Ad
-    bid: KeywordBid
-    kw_index: int
-    quality: float
-    click_quality: float
-    active_from: float
-
-    @property
-    def max_bid(self) -> float:
-        """The underlying keyword bid's maximum CPC."""
-        return self.bid.max_bid
-
-    @property
-    def match_type(self) -> MatchType:
-        """The underlying keyword bid's match type."""
-        return self.bid.match_type
-
-
-@dataclass
-class CampaignBidStats:
-    """Parallel per-bid arrays for one campaign, for fast summarizing.
-
-    Mirrors ``campaign.bids`` element for element (same order): the
-    match code, max bid and creation day of each bid.  The batched
-    materializer fills these so the engine's summary statistics come
-    from three ``bincount`` calls instead of a Python loop over every
-    bid object; :meth:`MaterializedAccount.trim` keeps them aligned
-    with the trimmed bid lists.
-    """
-
-    mcodes: np.ndarray
-    max_bids: np.ndarray
-    created: np.ndarray
-
-    def trim(self, end_time: float) -> None:
-        """Drop bids created at or after ``end_time`` (same rule as trim)."""
-        keep = self.created < end_time
-        if not keep.all():
-            self.mcodes = self.mcodes[keep]
-            self.max_bids = self.max_bids[keep]
-            self.created = self.created[keep]
+# Observability handle (repro.obs): a plain attribute bump, no RNG.
+_ENTITIES_BUILT = obs.counter("population.entities_built")
 
 
 @dataclass
 class MaterializedAccount:
-    """An account plus the side-structures the engine and analyses need.
+    """One account's ads, keyword bids and auction offers, as columns.
+
+    Both materializers append the same values to the same columns in
+    the same order; the content filter, the engine's summaries and
+    :class:`~repro.simulator.market.MarketIndex` read them directly.
+    Campaign ``c`` of an account is ``profile.verticals[c]`` in
+    ``profile.target_countries[c]`` and owns ads ``c, c + n, c + 2n,
+    ...`` (``n`` campaigns, ads dealt round-robin).
+
+    * Per ad, in creation order: ``ad_ids``, ``ad_copies``,
+      ``ad_domains`` (destination domain) and ``ad_creation_times``.
+    * Per keyword bid, campaign-major: ``kw_idx_cols[c]`` (position in
+      the vertical's :func:`~repro.taxonomy.keywords.keyword_pool`),
+      ``mcode_cols[c]`` (match code), ``max_bid_cols[c]`` and
+      ``created_cols[c]`` hold campaign ``c``'s bids in creation order;
+      ``kw_creation_times`` lists every bid's creation time in ad order.
+    * Per offer -- the bids that enter the auction index, at most
+      ``MAX_INDEXED_OFFERS_PER_CAMPAIGN`` per campaign -- in ad order:
+      ``offer_campaign`` (campaign position), ``offer_ad_id``,
+      ``offer_kw``, ``offer_mcode``, ``offer_max_bid``,
+      ``offer_quality``, ``offer_click_quality`` and ``offer_created``
+      (when the offer goes live).
+    * Maintenance events, unordered: ``ad_mod_times``, ``kw_mod_times``.
 
     ``activity_end`` is filled in by the engine once the detection
     outcome (or dormancy) fixes when the account stops competing.
-    ``bid_stats``, when present (batched materializer only), is parallel
-    to ``advertiser.campaigns`` and mirrors each campaign's bid list.
     """
 
     advertiser: Advertiser
     profile: AdvertiserProfile
     activity_end: float = float("inf")
-    offers: list[Offer] = field(default_factory=list)
+    ad_ids: list[int] = field(default_factory=list)
+    ad_copies: list[AdCopy] = field(default_factory=list)
+    ad_domains: list[str] = field(default_factory=list)
     ad_creation_times: list[float] = field(default_factory=list)
+    kw_idx_cols: list[list[int]] = field(default_factory=list)
+    mcode_cols: list[list[int]] = field(default_factory=list)
+    max_bid_cols: list[list[float]] = field(default_factory=list)
+    created_cols: list[list[float]] = field(default_factory=list)
     kw_creation_times: list[float] = field(default_factory=list)
+    offer_campaign: list[int] = field(default_factory=list)
+    offer_ad_id: list[int] = field(default_factory=list)
+    offer_kw: list[int] = field(default_factory=list)
+    offer_mcode: list[int] = field(default_factory=list)
+    offer_max_bid: list[float] = field(default_factory=list)
+    offer_quality: list[float] = field(default_factory=list)
+    offer_click_quality: list[float] = field(default_factory=list)
+    offer_created: list[float] = field(default_factory=list)
     ad_mod_times: list[float] = field(default_factory=list)
     kw_mod_times: list[float] = field(default_factory=list)
-    bid_stats: list[CampaignBidStats] | None = None
-    #: Deferred entity columns (batched materializer, legitimate
-    #: accounts only): entity objects have not been built yet and will
-    #: be constructed by the first :meth:`trim` -- survivors only.
-    pending: object | None = field(default=None, repr=False, compare=False)
-
-    def destination_domains(self) -> set[str]:
-        """Destination domains across all (pre-trim) ads."""
-        if self.pending is not None:
-            return set(self.pending.ad_domains)
-        return {
-            ad.destination_domain
-            for campaign in self.advertiser.campaigns
-            for ad in campaign.ads
-        }
 
     def trim(self, end_time: float) -> None:
-        """Drop everything scheduled after the account's end time."""
-        pending = self.pending
-        if pending is not None:
-            self.pending = None
-            pending.finalize(self, end_time)
-            return
-        for campaign in self.advertiser.campaigns:
-            campaign.ads = [a for a in campaign.ads if a.created_day < end_time]
-            campaign.bids = [b for b in campaign.bids if b.created_day < end_time]
-        if self.bid_stats is not None:
-            for stats in self.bid_stats:
-                stats.trim(end_time)
-        self.offers = [o for o in self.offers if o.active_from < end_time]
-        self.ad_creation_times = [t for t in self.ad_creation_times if t < end_time]
-        self.kw_creation_times = [t for t in self.kw_creation_times if t < end_time]
+        """Drop everything created at or after ``end_time``.
+
+        Every creation-time column is nondecreasing, so each column
+        group is cut to the prefix ``bisect_left`` finds (strict
+        ``<``); maintenance events are unordered and filtered.
+        """
+        self._cut(_AD_COLUMNS, bisect_left(self.ad_creation_times, end_time))
+        self._cut(_OFFER_COLUMNS, bisect_left(self.offer_created, end_time))
+        self.kw_creation_times = self.kw_creation_times[
+            : bisect_left(self.kw_creation_times, end_time)
+        ]
+        keep = [bisect_left(created, end_time) for created in self.created_cols]
+        for name in _BID_COLUMNS:
+            cols = getattr(self, name)
+            setattr(self, name, [col[:n] for col, n in zip(cols, keep)])
         self.ad_mod_times = [t for t in self.ad_mod_times if t < end_time]
         self.kw_mod_times = [t for t in self.kw_mod_times if t < end_time]
+        _ENTITIES_BUILT.inc(
+            len(self.ad_ids) + len(self.kw_creation_times) + len(keep)
+        )
+
+    def _cut(self, names: tuple[str, ...], n: int) -> None:
+        for name in names:
+            setattr(self, name, getattr(self, name)[:n])
 
 
 def _creation_times(
@@ -267,7 +258,7 @@ def materialize_account(
     ids: IdAllocator,
     rng: np.random.Generator,
 ) -> MaterializedAccount:
-    """Create campaigns, ads and keyword bids for an account.
+    """Draw an account's ads and keyword bids into its columns.
 
     Ads are split round-robin across the profile's campaigns; keyword
     bids attach to their ad's campaign.  Call
@@ -275,49 +266,41 @@ def materialize_account(
     the account's true end time.
     """
     account = MaterializedAccount(advertiser=advertiser, profile=profile)
-    campaigns = [
-        Campaign(
-            campaign_id=ids.campaign_id(),
-            advertiser_id=advertiser.advertiser_id,
-            vertical=vertical_name,
-            target_country=target,
-            created_day=first_ad_time,
-        )
-        for vertical_name, target in zip(profile.verticals, profile.target_countries)
-    ]
-    advertiser.campaigns.extend(campaigns)
+    # Campaign ids are allocated (and so advance the id source) even
+    # though no column records them.
+    for _ in profile.verticals:
+        ids.campaign_id()
+    verticals = profile.verticals
+    n_campaigns = len(verticals)
+    for name in _BID_COLUMNS:
+        setattr(account, name, [[] for _ in range(n_campaigns)])
     advertiser.record_first_ad(first_ad_time)
 
     domains = _destination_domains(profile, profile.n_ads, rng)
     ad_times = _creation_times(profile.n_ads, first_ad_time, horizon, rng)
     match_types, match_probs = profile.match_mix.as_probs()
-    indexed_per_campaign: dict[int, int] = {c.campaign_id: 0 for c in campaigns}
+    indexed_per_campaign = [0] * n_campaigns
     # Evasion is an operator *style*, decided once per account: either
     # the fraudster works blacklist-safe or they do not.
     evasive = profile.is_fraud and rng.random() < profile.evasion_skill
 
     for ad_index, created in enumerate(ad_times):
-        campaign = campaigns[ad_index % len(campaigns)]
-        vert = vertical_info(campaign.vertical)
-        copy = render_ad(campaign.vertical, rng, evasive=evasive)
-        domain = domains[ad_index % len(domains)]
-        ad = Ad(
-            ad_id=ids.ad_id(),
-            campaign_id=campaign.campaign_id,
-            copy=copy,
-            display_domain=domain,
-            destination_domain=domain,
-            created_day=created,
-            engagement=float(rng.lognormal(0.0, 0.25)),
-        )
-        campaign.add_ad(ad)
+        pos = ad_index % n_campaigns
+        vertical_name = verticals[pos]
+        vert = vertical_info(vertical_name)
+        copy = render_ad(vertical_name, rng, evasive=evasive)
+        ad_id = ids.ad_id()
+        engagement = float(rng.lognormal(0.0, 0.25))
+        account.ad_ids.append(ad_id)
+        account.ad_copies.append(copy)
+        account.ad_domains.append(domains[ad_index % len(domains)])
         account.ad_creation_times.append(created)
         account.ad_mod_times.extend(
             _mod_events(created, horizon, profile.mod_rate_per_entity, rng)
         )
 
         keywords = _sample_keywords(
-            campaign.vertical,
+            vertical_name,
             profile.kw_per_ad,
             profile.is_fraud,
             profile.evasion_skill,
@@ -340,65 +323,42 @@ def materialize_account(
                     * multiplier
                     * float(np.exp(rng.normal(0.0, 0.15)))
                 )
-            bid = KeywordBid(
-                keyword=keyword,
-                match_type=match_type,
-                max_bid=max(0.05, max_bid),
-                created_day=created,
-            )
-            campaign.add_bid(bid)
+            max_bid = max(0.05, max_bid)
+            mcode = match_code(match_type)
+            account.kw_idx_cols[pos].append(kw_index)
+            account.mcode_cols[pos].append(mcode)
+            account.max_bid_cols[pos].append(max_bid)
+            account.created_cols[pos].append(created)
             account.kw_creation_times.append(created)
             account.kw_mod_times.extend(
                 _mod_events(created, horizon, profile.mod_rate_per_entity, rng)
             )
-            if indexed_per_campaign[campaign.campaign_id] < MAX_INDEXED_OFFERS_PER_CAMPAIGN:
-                indexed_per_campaign[campaign.campaign_id] += 1
-                account.offers.append(
-                    Offer(
-                        advertiser=advertiser,
-                        profile=profile,
-                        vertical=campaign.vertical,
-                        country=campaign.target_country,
-                        ad=ad,
-                        bid=bid,
-                        kw_index=kw_index,
-                        quality=quality_score(
-                            advertiser.quality * profile.rank_gaming,
-                            ad.engagement,
-                            vert.base_ctr,
-                            match_type,
-                        ),
-                        click_quality=quality_score(
-                            advertiser.quality * profile.realized_ctr_factor,
-                            ad.engagement,
-                            vert.base_ctr,
-                            match_type,
-                        ),
-                        active_from=created,
+            if indexed_per_campaign[pos] < MAX_INDEXED_OFFERS_PER_CAMPAIGN:
+                indexed_per_campaign[pos] += 1
+                account.offer_campaign.append(pos)
+                account.offer_ad_id.append(ad_id)
+                account.offer_kw.append(kw_index)
+                account.offer_mcode.append(mcode)
+                account.offer_max_bid.append(max_bid)
+                account.offer_quality.append(
+                    quality_score(
+                        advertiser.quality * profile.rank_gaming,
+                        engagement,
+                        vert.base_ctr,
+                        match_type,
                     )
                 )
+                account.offer_click_quality.append(
+                    quality_score(
+                        advertiser.quality * profile.realized_ctr_factor,
+                        engagement,
+                        vert.base_ctr,
+                        match_type,
+                    )
+                )
+                account.offer_created.append(created)
 
-    # Distribute modification counts back onto entities (coarsely: the
-    # per-entity count only feeds aggregate statistics).
-    _assign_mod_counts(campaigns, account)
     # Sanity: country info must exist for every campaign target.
-    for campaign in campaigns:
-        country_info(campaign.target_country)
+    for target in profile.target_countries:
+        country_info(target)
     return account
-
-
-def _assign_mod_counts(
-    campaigns: list[Campaign], account: MaterializedAccount
-) -> None:
-    ads = [ad for c in campaigns for ad in c.ads]
-    bids = [bid for c in campaigns for bid in c.bids]
-    if ads and account.ad_mod_times:
-        per_ad = len(account.ad_mod_times) // len(ads)
-        remainder = len(account.ad_mod_times) % len(ads)
-        for index, ad in enumerate(ads):
-            ad.modified_count = per_ad + (1 if index < remainder else 0)
-    if bids and account.kw_mod_times:
-        per_bid = len(account.kw_mod_times) // len(bids)
-        remainder = len(account.kw_mod_times) % len(bids)
-        for index, bid in enumerate(bids):
-            bid.modified_count = per_bid + (1 if index < remainder else 0)

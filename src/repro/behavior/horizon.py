@@ -51,7 +51,7 @@ class PopulationPlan:
     activity_end: np.ndarray
     #: Fraud-profile flag per account.
     is_fraud: np.ndarray
-    #: True where the account materialized entities (posted its first
+    #: True where the account materialized ads and bids (posted its first
     #: ad inside the study and survived registration screening).
     materialized: np.ndarray
     #: Detection shutdown time, ``nan`` where never shut down.

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .campaign import Campaign
 from .enums import AccountStatus, AdvertiserKind, ShutdownReason
 
 __all__ = ["Advertiser"]
@@ -36,7 +35,6 @@ class Advertiser:
         labeled_fraud: Whether the platform shut the account down as
             fraudulent by the end of the study.
         first_ad_time: When the account first posted an ad, if ever.
-        campaigns: Campaigns owned by the account.
     """
 
     advertiser_id: int
@@ -54,7 +52,6 @@ class Advertiser:
     shutdown_reason: ShutdownReason | None = None
     labeled_fraud: bool = False
     first_ad_time: float | None = None
-    campaigns: list[Campaign] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.activity_scale <= 0:
@@ -112,13 +109,3 @@ class Advertiser:
         if self.shutdown_time is None or self.first_ad_time is None:
             return None
         return max(0.0, self.shutdown_time - self.first_ad_time)
-
-    def all_ads(self):
-        """Iterate every ad across campaigns."""
-        for campaign in self.campaigns:
-            yield from campaign.ads
-
-    def all_bids(self):
-        """Iterate every keyword bid across campaigns."""
-        for campaign in self.campaigns:
-            yield from campaign.bids

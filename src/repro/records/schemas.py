@@ -1,7 +1,8 @@
 """Typed record schemas for the paper's three datasets.
 
-* Customer and ad records -- :class:`CustomerRecord`, :class:`AdRecord`,
-  :class:`KeywordRecord`.
+* Customer and ad records -- :class:`CustomerRecord` (per-ad and
+  per-keyword values live as columns of
+  :class:`repro.behavior.factory.MaterializedAccount`).
 * Ad impression and click records -- see
   :mod:`repro.records.impressions`.
 * Fraud detection records -- :class:`DetectionRecord`.
@@ -11,10 +12,9 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from ..entities.advertiser import Advertiser
 from ..entities.enums import AdvertiserKind, ShutdownReason
 
-__all__ = ["CustomerRecord", "AdRecord", "KeywordRecord", "DetectionRecord"]
+__all__ = ["CustomerRecord", "DetectionRecord"]
 
 
 @dataclass(frozen=True)
@@ -39,28 +39,6 @@ class CustomerRecord:
     n_ads: int
     n_keywords: int
 
-    @classmethod
-    def from_advertiser(cls, advertiser: Advertiser) -> "CustomerRecord":
-        """Snapshot an advertiser entity into a record."""
-        return cls(
-            advertiser_id=advertiser.advertiser_id,
-            created_time=advertiser.created_time,
-            country=advertiser.country,
-            language=advertiser.language,
-            currency=advertiser.currency,
-            kind=advertiser.kind.value,
-            labeled_fraud=advertiser.labeled_fraud,
-            shutdown_time=advertiser.shutdown_time,
-            shutdown_reason=(
-                advertiser.shutdown_reason.value
-                if advertiser.shutdown_reason is not None
-                else None
-            ),
-            first_ad_time=advertiser.first_ad_time,
-            n_ads=sum(1 for _ in advertiser.all_ads()),
-            n_keywords=sum(1 for _ in advertiser.all_bids()),
-        )
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -68,41 +46,6 @@ class CustomerRecord:
     def is_fraud_ground_truth(self) -> bool:
         """Ground-truth fraud flag (not the platform label)."""
         return AdvertiserKind(self.kind).is_fraud
-
-
-@dataclass(frozen=True)
-class AdRecord:
-    """One advertisement (title, body, URLs)."""
-
-    ad_id: int
-    campaign_id: int
-    advertiser_id: int
-    vertical: str
-    title: str
-    body: str
-    display_domain: str
-    destination_domain: str
-    created_day: float
-    modified_count: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-@dataclass(frozen=True)
-class KeywordRecord:
-    """One keyword bid (phrase, match type, max bid)."""
-
-    advertiser_id: int
-    campaign_id: int
-    keyword: str
-    match_type: str
-    max_bid: float
-    created_day: float
-    modified_count: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

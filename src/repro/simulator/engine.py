@@ -3,20 +3,21 @@
 Runs in three phases:
 
 1. **Population** -- day by day, sample registrations, build profiles,
-   materialize campaigns/ads/keyword bids, and run the detection
-   pipeline.  Detection outcomes depend only on account attributes and
-   the policy timeline, so the full population (with shutdown times)
-   can be generated before any auction runs.  A detection sampled to
-   land *after* the study end is discarded: that account is analysed
-   as non-fraudulent, exactly as undetected fraud is at Bing.
+   materialize each account's ad, keyword-bid and offer columns, and
+   run the detection pipeline.  Detection outcomes depend only on
+   account attributes and the policy timeline, so the full population
+   (with shutdown times) can be generated before any auction runs.  A
+   detection sampled to land *after* the study end is discarded: that
+   account is analysed as non-fraudulent, exactly as undetected fraud
+   is at Bing.
    Materialization runs through the batched path
    (:func:`~repro.behavior.batch.materialize_account_batch`): grouped
    numpy draws on the same named streams in the same draw order as the
    scalar factory, so the population -- and everything downstream --
    is bit-identical to :meth:`SimulationEngine.generate_population_scalar`,
    the retained differential oracle.
-2. **Market build** -- flatten every keyword offer into the vectorized
-   :class:`~repro.simulator.market.MarketIndex`.
+2. **Market build** -- concatenate every account's offer columns into
+   the vectorized :class:`~repro.simulator.market.MarketIndex`.
 3. **Auctions** -- for each day, compute live offers, sample the query
    stream, run GSP auctions, sample clicks, and append impression rows.
 
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import gc
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -206,39 +208,23 @@ class SimulationEngine:
         kw_mods: list[float] = []
         n_domains = 0
         if account is not None:
-            domains = set()
-            for campaign in advertiser.campaigns:
-                for ad in campaign.ads:
-                    domains.add(ad.destination_domain)
-            if account.bid_stats is not None:
-                # Fast path (batched materializer): one concatenated
-                # campaign-major pass.  ``bincount`` accumulates weights
-                # sequentially in array order, which is exactly the
-                # order the scalar loop below adds them in, so the
-                # float sums are bit-identical.
-                stats = account.bid_stats
-                if stats:
-                    mcodes = np.concatenate([s.mcodes for s in stats])
-                    max_bids = np.concatenate([s.max_bids for s in stats])
-                    if len(mcodes):
-                        bid_count = np.bincount(mcodes, minlength=3).astype(
-                            np.float64
-                        )
-                        bid_sum = np.bincount(
-                            mcodes, weights=max_bids, minlength=3
-                        )
-                        bid_above = np.bincount(
-                            mcodes[max_bids > default_bid * 1.0001], minlength=3
-                        ).astype(np.float64)
-            else:
-                for campaign in advertiser.campaigns:
-                    for bid in campaign.bids:
-                        code = match_code(bid.match_type)
-                        bid_count[code] += 1
-                        bid_sum[code] += bid.max_bid
-                        if bid.max_bid > default_bid * 1.0001:
-                            bid_above[code] += 1
-            n_domains = len(domains)
+            # One campaign-major pass: ``bincount`` accumulates weights
+            # sequentially in array order, so each match type's bid sum
+            # adds the same floats in the same order as a campaign-major
+            # Python loop would.
+            mcodes = np.fromiter(
+                chain.from_iterable(account.mcode_cols), dtype=np.int8
+            )
+            max_bids = np.fromiter(
+                chain.from_iterable(account.max_bid_cols), dtype=np.float64
+            )
+            if mcodes.size:
+                bid_count = np.bincount(mcodes, minlength=3).astype(np.float64)
+                bid_sum = np.bincount(mcodes, weights=max_bids, minlength=3)
+                bid_above = np.bincount(
+                    mcodes[max_bids > default_bid * 1.0001], minlength=3
+                ).astype(np.float64)
+            n_domains = len(set(account.ad_domains))
             ad_creations = account.ad_creation_times
             kw_creations = account.kw_creation_times
             ad_mods = account.ad_mod_times
@@ -282,7 +268,7 @@ class SimulationEngine:
         created_time: float,
         materializer=materialize_account_batch,
     ) -> tuple[MaterializedAccount, float, bool]:
-        """Every RNG draw for one account; entity finalization deferred.
+        """Every RNG draw for one account; trimming deferred.
 
         Performs the draw-bearing half of account generation -- screen,
         materialize, evaluate, commit, dormancy -- in the canonical
@@ -347,7 +333,7 @@ class SimulationEngine:
             advertiser.shutdown(
                 outcome.shutdown_time, outcome.reason, outcome.labeled_fraud
             )
-            domains = sorted(account.destination_domains())
+            domains = sorted(set(account.ad_domains))
             self.pipeline.commit(advertiser.advertiser_id, outcome, domains)
             activity_end = outcome.shutdown_time
         else:
@@ -439,7 +425,7 @@ class SimulationEngine:
         sites and progress reporting are unchanged.
 
         ``materializer`` overrides :meth:`_plan_account`'s default (the
-        batched materializer); the scalar oracle passes the per-entity
+        batched materializer); the scalar oracle passes the scalar
         factory here.
         """
         from ..behavior.horizon import PlanRecorder
@@ -458,10 +444,10 @@ class SimulationEngine:
             plan_account = partial(plan_account, materializer=materializer)
             mode = "scalar"
         # Nearly everything allocated here is either retained for the
-        # whole run (entities, summaries) or freed promptly by reference
-        # counting (trimmed columns); cyclic GC only adds pauses that
-        # scale with the live-object count -- about a quarter of
-        # Phase-1 wall time at full scale.  Pause it for the sweep.
+        # whole run (account columns, summaries) or freed promptly by
+        # reference counting (trimmed column prefixes); cyclic GC only
+        # adds pauses that scale with the live-object count.  Pause it
+        # for the sweep.
         gc_was_enabled = gc.isenabled()
         gc.disable()
         ledger = obs.dayledger()
@@ -532,7 +518,7 @@ class SimulationEngine:
 
         Runs the whole-horizon plan/build path
         (:meth:`_generate_population_horizon`) with the batched
-        materializer; the output -- entities, summaries and
+        materializer; the output -- account columns, summaries and
         post-generation RNG stream states -- is bit-identical to the
         retained oracle, :meth:`generate_population_scalar`.  After it
         returns, :attr:`population_plan` holds the whole-horizon
@@ -551,7 +537,7 @@ class SimulationEngine:
     ) -> tuple[list[MaterializedAccount], list[AccountSummary]]:
         """The pre-vectorization Phase 1, kept as the oracle.
 
-        One entity at a time through
+        One draw at a time through
         :func:`~repro.behavior.factory.materialize_account`, driven by
         the same whole-horizon sweep.  Slow but simple enough to trust:
         the differential tests assert :meth:`generate_population`
@@ -852,7 +838,7 @@ class SimulationEngine:
 
     # ------------------------------------------------------------------
 
-    def run(self, keep_entities: bool = False) -> SimulationResult:
+    def run(self) -> SimulationResult:
         """Run all three phases and return the bundled result."""
         with obs.span("run", seed=self.config.seed, days=self.config.days):
             accounts, summaries = self.generate_population()
@@ -867,14 +853,9 @@ class SimulationEngine:
                 impressions=builder.build(),
                 detections=list(self.pipeline.records),
                 policy_changes=list(self.pipeline.policy.changes),
-                advertisers=(
-                    [a.advertiser for a in accounts] if keep_entities else []
-                ),
             )
 
 
-def run_simulation(
-    config: SimulationConfig, keep_entities: bool = False
-) -> SimulationResult:
+def run_simulation(config: SimulationConfig) -> SimulationResult:
     """Convenience wrapper: build an engine and run it."""
-    return SimulationEngine(config).run(keep_entities=keep_entities)
+    return SimulationEngine(config).run()

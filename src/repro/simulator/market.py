@@ -1,6 +1,6 @@
 """Vectorized offer index.
 
-All keyword offers in the marketplace are flattened into parallel numpy
+Every account's offer columns are concatenated into parallel numpy
 arrays once the population is generated.  Each simulated day the index
 computes which offers are live (account alive, ad created, account "on"
 today under its activity budget) and groups them into buckets keyed by
@@ -10,11 +10,13 @@ that could possibly match it.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .. import obs
 from ..behavior.factory import MaterializedAccount
-from ..records.codes import country_code, match_code, vertical_code
+from ..records.codes import country_code, vertical_code
 from ..taxonomy.geography import COUNTRIES
 from .querygen import CellSampler, slice_index
 
@@ -122,63 +124,74 @@ class MarketIndex:
     """Static offer arrays plus per-day liveness computation."""
 
     def __init__(self, accounts: list[MaterializedAccount]) -> None:
-        cells: list[int] = []
-        kws: list[int] = []
-        matches: list[int] = []
-        max_bids: list[float] = []
-        qualities: list[float] = []
-        click_qualities: list[float] = []
-        adv_rows: list[int] = []
-        advertiser_ids: list[int] = []
-        ad_ids: list[int] = []
-        active_from: list[float] = []
-        active_until: list[float] = []
-        fraud_labeled: list[bool] = []
-        verticals: list[int] = []
-        countries: list[int] = []
-        participation: list[float] = []
+        n_accounts = len(accounts)
 
-        with obs.span("market.offers", accounts=len(accounts)):
-            for row, account in enumerate(accounts):
-                participation.append(account.profile.participation_prob)
-                advertiser = account.advertiser
-                end = account.activity_end
-                for offer in account.offers:
-                    vert = vertical_code(offer.vertical)
-                    ctry = country_code(offer.country)
-                    cells.append(CellSampler.cell_of(vert, ctry))
-                    kws.append(offer.kw_index)
-                    matches.append(match_code(offer.match_type))
-                    max_bids.append(offer.max_bid)
-                    qualities.append(offer.quality)
-                    click_qualities.append(offer.click_quality)
-                    adv_rows.append(row)
-                    advertiser_ids.append(advertiser.advertiser_id)
-                    ad_ids.append(offer.ad.ad_id)
-                    active_from.append(offer.active_from)
-                    active_until.append(end)
-                    fraud_labeled.append(advertiser.labeled_fraud)
-                    verticals.append(vert)
-                    countries.append(ctry)
+        def offer_column(name: str, dtype) -> np.ndarray:
+            return np.fromiter(
+                chain.from_iterable(getattr(a, name) for a in accounts),
+                dtype=dtype,
+            )
 
-        with obs.span("market.columns", offers=len(cells)):
-            self.n_offers = len(cells)
-            self.n_accounts = len(accounts)
-            self.cell = np.asarray(cells, dtype=np.int32)
-            self.kw = np.asarray(kws, dtype=np.int16)
-            self.match = np.asarray(matches, dtype=np.int8)
-            self.max_bid = np.asarray(max_bids, dtype=np.float64)
-            self.quality = np.asarray(qualities, dtype=np.float64)
-            self.click_quality = np.asarray(click_qualities, dtype=np.float64)
-            self.adv_row = np.asarray(adv_rows, dtype=np.int32)
-            self.advertiser_id = np.asarray(advertiser_ids, dtype=np.int64)
-            self.ad_id = np.asarray(ad_ids, dtype=np.int64)
-            self.active_from = np.asarray(active_from, dtype=np.float64)
-            self.active_until = np.asarray(active_until, dtype=np.float64)
-            self.fraud_labeled = np.asarray(fraud_labeled, dtype=bool)
-            self.vertical = np.asarray(verticals, dtype=np.int16)
-            self.country = np.asarray(countries, dtype=np.int16)
-            self.participation = np.asarray(participation, dtype=np.float64)
+        def per_account(values, dtype) -> np.ndarray:
+            return np.fromiter(values, dtype=dtype, count=n_accounts)
+
+        with obs.span("market.offers", accounts=n_accounts):
+            n_offers = per_account((len(a.offer_kw) for a in accounts), np.int64)
+            # Every account's campaigns back to back: an offer's row in
+            # this table is its account's first row plus its campaign.
+            n_campaigns = per_account(
+                (len(a.profile.verticals) for a in accounts), np.int64
+            )
+            campaign_vertical = np.fromiter(
+                (vertical_code(v) for a in accounts for v in a.profile.verticals),
+                dtype=np.int64,
+            )
+            campaign_country = np.fromiter(
+                (
+                    country_code(c)
+                    for a in accounts
+                    for c in a.profile.target_countries
+                ),
+                dtype=np.int64,
+            )
+            campaign_row = np.repeat(
+                np.cumsum(n_campaigns) - n_campaigns, n_offers
+            ) + offer_column("offer_campaign", np.int64)
+            vert = campaign_vertical[campaign_row]
+            ctry = campaign_country[campaign_row]
+
+            self.n_offers = len(campaign_row)
+            self.n_accounts = n_accounts
+            self.cell = CellSampler.cell_of(vert, ctry).astype(np.int32)
+            self.kw = offer_column("offer_kw", np.int16)
+            self.match = offer_column("offer_mcode", np.int8)
+            self.max_bid = offer_column("offer_max_bid", np.float64)
+            self.quality = offer_column("offer_quality", np.float64)
+            self.click_quality = offer_column("offer_click_quality", np.float64)
+            self.adv_row = np.repeat(
+                np.arange(n_accounts, dtype=np.int32), n_offers
+            )
+            self.advertiser_id = np.repeat(
+                per_account(
+                    (a.advertiser.advertiser_id for a in accounts), np.int64
+                ),
+                n_offers,
+            )
+            self.ad_id = offer_column("offer_ad_id", np.int64)
+            self.active_from = offer_column("offer_created", np.float64)
+            self.active_until = np.repeat(
+                per_account((a.activity_end for a in accounts), np.float64),
+                n_offers,
+            )
+            self.fraud_labeled = np.repeat(
+                per_account((a.advertiser.labeled_fraud for a in accounts), bool),
+                n_offers,
+            )
+            self.vertical = vert.astype(np.int16)
+            self.country = ctry.astype(np.int16)
+            self.participation = per_account(
+                (a.profile.participation_prob for a in accounts), np.float64
+            )
             if self.n_offers and int(self.kw.max()) >= _MAX_KW:
                 raise ValueError("keyword pool exceeds composite key capacity")
             self._key = bucket_keys(self.cell, self.kw, self.match)

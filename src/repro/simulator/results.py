@@ -1,21 +1,19 @@
 """Simulation outputs.
 
-:class:`AccountSummary` is the per-account analysis view (compact, no
-entity graphs); :class:`SimulationResult` bundles the three datasets
-the paper works from: customer/ad records (as account summaries plus
-optional full entities), the impression/click table, and the fraud
-detection records.
+:class:`AccountSummary` is the per-account analysis view (compact,
+array-valued); :class:`SimulationResult` bundles the three datasets
+the paper works from: customer/ad records (as account summaries), the
+impression/click table, and the fraud detection records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..config import SimulationConfig
 from ..detection.policy import PolicyChange
-from ..entities.advertiser import Advertiser
 from ..entities.enums import AdvertiserKind
 from ..records.impressions import ImpressionTable
 from ..records.schemas import CustomerRecord, DetectionRecord
@@ -132,9 +130,6 @@ class SimulationResult:
     impressions: ImpressionTable
     detections: list[DetectionRecord]
     policy_changes: list[PolicyChange]
-    #: Full entity graphs, only retained when
-    #: ``run_simulation(keep_entities=True)``.
-    advertisers: list[Advertiser] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self._by_id = {a.advertiser_id: a for a in self.accounts}

@@ -2,14 +2,16 @@
 
 :func:`repro.behavior.batch.materialize_account_batch` must replay the
 scalar factory's RNG draws in the same order on the same stream, so a
-same-seed materialization -- followed by the same ``trim`` -- must
-produce bit-identical accounts: ids, entities, maintenance events,
-offers, and the generator's state afterwards.  The engine-level sweep
+same-seed materialization must produce a bit-identical
+:class:`~repro.behavior.factory.MaterializedAccount` -- every ad, bid,
+offer and maintenance column, the id source and the generator's state
+afterwards -- and stay identical after the same ``trim``.  The engine-level sweep
 lives in ``tests/simulator/test_population_equivalence.py``; these
 tests isolate the materializer and pin the low-level numpy identities
 the batching relies on.
 """
 
+import dataclasses
 from bisect import bisect_right
 
 import numpy as np
@@ -17,6 +19,7 @@ import pytest
 
 from repro.behavior import (
     IdAllocator,
+    MaterializedAccount,
     materialize_account,
     materialize_account_batch,
     sample_fraud_profile,
@@ -52,7 +55,16 @@ def _profiles():
     return config, cases
 
 
-def _materialize(materializer, profile, config, end_time):
+#: Every column of a materialized account, compared value for value.
+ACCOUNT_COLUMNS = tuple(
+    f.name
+    for f in dataclasses.fields(MaterializedAccount)
+    if f.name not in ("advertiser", "profile")
+)
+
+
+def _materialize(materializer, profile, config):
+    """One untrimmed account and the generator it drew from."""
     rng = stream(4242, "population")
     ids = IdAllocator()
     info = country_info(profile.country)
@@ -71,126 +83,134 @@ def _materialize(materializer, profile, config, end_time):
     account = materializer(
         advertiser, profile, FIRST_AD_TIME, HORIZON, config, ids, rng
     )
-    account.trim(end_time)
-    account.activity_end = end_time
-    return account, rng.bit_generator.state
+    return account, rng.bit_generator.state, ids
 
 
-def _assert_accounts_identical(expected, actual):
-    assert actual.ad_creation_times == expected.ad_creation_times
-    assert actual.kw_creation_times == expected.kw_creation_times
-    assert actual.ad_mod_times == expected.ad_mod_times
-    assert actual.kw_mod_times == expected.kw_mod_times
-    want_campaigns = expected.advertiser.campaigns
-    got_campaigns = actual.advertiser.campaigns
-    assert len(got_campaigns) == len(want_campaigns)
-    for want, got in zip(want_campaigns, got_campaigns):
-        assert got.campaign_id == want.campaign_id
-        assert got.vertical == want.vertical
-        assert got.target_country == want.target_country
-        assert got.created_day == want.created_day
-        assert len(got.ads) == len(want.ads)
-        for theirs, mine in zip(want.ads, got.ads):
-            assert mine.ad_id == theirs.ad_id
-            assert mine.campaign_id == theirs.campaign_id
-            assert mine.copy == theirs.copy
-            assert mine.display_domain == theirs.display_domain
-            assert mine.destination_domain == theirs.destination_domain
-            assert mine.created_day == theirs.created_day
-            assert mine.engagement == theirs.engagement
-            assert mine.modified_count == theirs.modified_count
-        assert len(got.bids) == len(want.bids)
-        for theirs, mine in zip(want.bids, got.bids):
-            assert mine.keyword == theirs.keyword
-            assert mine.match_type == theirs.match_type
-            assert mine.max_bid == theirs.max_bid
-            assert mine.created_day == theirs.created_day
-            assert mine.modified_count == theirs.modified_count
-    assert len(actual.offers) == len(expected.offers)
-    for want, got in zip(expected.offers, actual.offers):
-        assert got.vertical == want.vertical
-        assert got.country == want.country
-        assert got.ad.ad_id == want.ad.ad_id
-        assert got.bid.keyword == want.bid.keyword
-        assert got.bid.match_type == want.bid.match_type
-        assert got.kw_index == want.kw_index
-        assert got.quality == want.quality
-        assert got.click_quality == want.click_quality
-        assert got.active_from == want.active_from
+def _assert_columns_identical(expected, actual, label):
+    for name in ACCOUNT_COLUMNS:
+        assert getattr(actual, name) == getattr(expected, name), (label, name)
+
+
+#: Cutoffs, each a function of the untrimmed account's ad times.
+CUTOFFS = {
+    "keep-everything": lambda times: HORIZON + 1.0,
+    "mid-life-trim": lambda times: 10.0,
+    # The first ad is created at FIRST_AD_TIME: strict ``<`` drops it.
+    "trim-to-nothing": lambda times: FIRST_AD_TIME,
+    "before-first-ad": lambda times: FIRST_AD_TIME - 1.0,
+    # An existing (not the first) ad creation time: strict ``<`` drops
+    # that ad and every bid and offer created with it.
+    "at-ad-creation-time": lambda times: times[len(times) // 2],
+}
 
 
 class TestMaterializerEquivalence:
-    @pytest.mark.parametrize(
-        "end_time",
-        [
-            pytest.param(HORIZON + 1.0, id="keep-everything"),
-            pytest.param(10.0, id="mid-life-trim"),
-            pytest.param(FIRST_AD_TIME, id="trim-to-nothing"),
-        ],
-    )
-    def test_bit_identical_after_trim(self, end_time):
+    def test_bit_identical_before_trim(self):
         config, cases = _profiles()
         for label, profile in cases:
-            want, want_state = _materialize(
-                materialize_account, profile, config, end_time
+            want, want_state, want_ids = _materialize(
+                materialize_account, profile, config
             )
-            got, got_state = _materialize(
-                materialize_account_batch, profile, config, end_time
+            got, got_state, got_ids = _materialize(
+                materialize_account_batch, profile, config
             )
             assert got_state == want_state, (label, "rng state diverged")
-            _assert_accounts_identical(want, got)
+            assert vars(got_ids) == vars(want_ids), label
+            _assert_columns_identical(want, got, label)
 
-    def test_bid_stats_mirror_trimmed_bid_lists(self):
-        config, cases = _profiles()
-        for _, profile in cases:
-            account, _ = _materialize(
-                materialize_account_batch, profile, config, 10.0
-            )
-            assert account.bid_stats is not None
-            campaigns = account.advertiser.campaigns
-            assert len(account.bid_stats) == len(campaigns)
-            for campaign, stats in zip(campaigns, account.bid_stats):
-                assert len(stats.mcodes) == len(campaign.bids)
-                for bid, max_bid, created in zip(
-                    campaign.bids, stats.max_bids, stats.created
-                ):
-                    assert bid.max_bid == max_bid
-                    assert bid.created_day == created
-
-    def test_lazy_accounts_report_domains_before_trim(self):
+    @pytest.mark.parametrize("cutoff", list(CUTOFFS))
+    def test_bit_identical_after_trim(self, cutoff):
         config, cases = _profiles()
         for label, profile in cases:
-            rng = stream(4242, "population")
-            info = country_info(profile.country)
-            advertiser = Advertiser(
-                advertiser_id=1,
-                kind=profile.kind,
-                created_time=CREATED_TIME,
-                country=profile.country,
-                language=info.language,
-                currency=info.currency,
-                activity_scale=profile.activity_scale,
-                quality=profile.quality,
-                evasion_skill=profile.evasion_skill,
-                uses_stolen_payment=profile.uses_stolen_payment,
+            want, _, _ = _materialize(materialize_account, profile, config)
+            got, _, _ = _materialize(materialize_account_batch, profile, config)
+            end_time = CUTOFFS[cutoff](want.ad_creation_times)
+            # Rows created strictly before the cutoff, counted on the
+            # untrimmed columns: trim must keep exactly these.
+            kept = [
+                sum(t < end_time for t in times)
+                for times in (
+                    want.ad_creation_times,
+                    want.kw_creation_times,
+                    want.offer_created,
+                    *want.created_cols,
+                )
+            ]
+            want.trim(end_time)
+            got.trim(end_time)
+            _assert_columns_identical(want, got, label)
+            assert [
+                len(times)
+                for times in (
+                    got.ad_creation_times,
+                    got.kw_creation_times,
+                    got.offer_created,
+                    *got.created_cols,
+                )
+            ] == kept, label
+
+    def test_trim_keeps_column_groups_aligned(self):
+        config, cases = _profiles()
+        for label, profile in cases:
+            account, _, _ = _materialize(
+                materialize_account_batch, profile, config
             )
-            account = materialize_account_batch(
-                advertiser,
-                profile,
-                FIRST_AD_TIME,
-                HORIZON,
-                config,
-                IdAllocator(),
-                rng,
+            account.trim(10.0)
+            n_ads = len(account.ad_creation_times)
+            assert len(account.ad_ids) == len(account.ad_copies) == n_ads
+            assert len(account.ad_domains) == n_ads
+            n_campaigns = len(profile.verticals)
+            for cols in (
+                account.kw_idx_cols,
+                account.mcode_cols,
+                account.max_bid_cols,
+                account.created_cols,
+            ):
+                assert len(cols) == n_campaigns, label
+                assert [len(c) for c in cols] == [
+                    len(c) for c in account.created_cols
+                ], label
+            assert sum(len(c) for c in account.created_cols) == len(
+                account.kw_creation_times
             )
-            # Fraud accounts build eagerly (the detection content filter
-            # reads their entities); legitimate accounts stay pending.
-            assert (account.pending is None) == profile.is_fraud, label
-            before = account.destination_domains()
-            assert before, label
-            account.trim(HORIZON + 1.0)
-            assert account.pending is None
-            assert account.destination_domains() == before, label
+            n_offers = len(account.offer_created)
+            for name in ACCOUNT_COLUMNS:
+                if name.startswith("offer_"):
+                    assert len(getattr(account, name)) == n_offers, (label, name)
+
+    def test_generated_columns_are_valid(self):
+        """Every bid positive, every keyword phrase non-empty, every
+        offer drawn from its own campaign's bids."""
+        config, cases = _profiles()
+        for label, profile in cases:
+            account, _, _ = _materialize(
+                materialize_account_batch, profile, config
+            )
+            for vertical, kw_col, mcode_col, bid_col in zip(
+                profile.verticals,
+                account.kw_idx_cols,
+                account.mcode_cols,
+                account.max_bid_cols,
+            ):
+                pool = keyword_pool(vertical)
+                assert all(pool[i] for i in kw_col), label
+                assert all(bid > 0 for bid in bid_col), label
+                assert set(mcode_col) <= {0, 1, 2}, label
+            assert all(q > 0 for q in account.offer_quality), label
+            assert all(q > 0 for q in account.offer_click_quality), label
+            assert set(account.offer_ad_id) <= set(account.ad_ids), label
+            for pos, kw, mcode, bid in zip(
+                account.offer_campaign,
+                account.offer_kw,
+                account.offer_mcode,
+                account.offer_max_bid,
+            ):
+                bids = zip(
+                    account.kw_idx_cols[pos],
+                    account.mcode_cols[pos],
+                    account.max_bid_cols[pos],
+                )
+                assert (kw, mcode, bid) in set(bids), label
 
 
 class TestBatchingPrimitives:

@@ -1,64 +1,109 @@
-"""Tests for ads, campaigns, keyword bids and domain generation."""
+"""Tests for the keyword-bid and ad invariants of materialized accounts,
+and for destination-domain generation."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.entities import (
-    Ad,
-    Campaign,
-    KeywordBid,
-    MatchType,
-    sample_domain_count,
-    shared_domains,
-    unique_domain,
+from repro.behavior import (
+    IdAllocator,
+    materialize_account_batch,
+    sample_fraud_profile,
+    sample_legitimate_profile,
 )
-from repro.taxonomy.adcopy import AdCopy
+from repro.config import AuctionConfig, small_config
+from repro.entities import sample_domain_count, shared_domains, unique_domain
+from repro.entities.advertiser import Advertiser
+from repro.errors import ConfigError
+from repro.rng import stream
+from repro.taxonomy.geography import country as country_info
+from repro.taxonomy.keywords import keyword_pool
+from repro.taxonomy.verticals import vertical_names
+
+
+def _accounts(config):
+    """Untrimmed materialized accounts: legitimate, fraud and prolific."""
+    rng = stream(31, "population")
+    profiles = [sample_legitimate_profile(config, rng) for _ in range(4)]
+    profiles += [
+        sample_fraud_profile(config, rng, prolific=prolific)
+        for prolific in (False, False, True)
+    ]
+    ids = IdAllocator()
+    accounts = []
+    for number, profile in enumerate(profiles, start=1):
+        info = country_info(profile.country)
+        advertiser = Advertiser(
+            advertiser_id=number,
+            kind=profile.kind,
+            created_time=1.0,
+            country=profile.country,
+            language=info.language,
+            currency=info.currency,
+            activity_scale=profile.activity_scale,
+            quality=profile.quality,
+            evasion_skill=profile.evasion_skill,
+            uses_stolen_payment=profile.uses_stolen_payment,
+        )
+        accounts.append(
+            materialize_account_batch(
+                advertiser, profile, 1.5, 60.0, config, ids, rng
+            )
+        )
+    return accounts
 
 
 class TestKeywordBid:
-    def test_phrase(self):
-        bid = KeywordBid(("weight", "loss"), MatchType.BROAD, 0.5, 1.0)
-        assert bid.phrase == "weight loss"
-
     def test_empty_keyword_rejected(self):
-        with pytest.raises(ValueError):
-            KeywordBid((), MatchType.EXACT, 0.5, 1.0)
+        """No pool holds an empty phrase or token, so no bid's keyword
+        index can name one."""
+        for name in vertical_names():
+            pool = keyword_pool(name)
+            assert pool, name
+            for phrase in pool:
+                assert phrase and all(phrase), (name, phrase)
+        for account in _accounts(small_config(seed=31, days=60)):
+            for vertical, kw_col in zip(
+                account.profile.verticals, account.kw_idx_cols
+            ):
+                pool = keyword_pool(vertical)
+                assert all(0 <= i < len(pool) for i in kw_col), vertical
 
     def test_nonpositive_bid_rejected(self):
-        with pytest.raises(ValueError):
-            KeywordBid(("a",), MatchType.EXACT, 0.0, 1.0)
-
-    def test_modification_counter(self):
-        bid = KeywordBid(("a",), MatchType.EXACT, 0.5, 1.0)
-        bid.record_modification()
-        bid.record_modification()
-        assert bid.modified_count == 2
+        """A non-positive default bid is refused; every drawn max bid
+        is positive and at least the 0.05 floor."""
+        for bid in (0.0, -0.5):
+            with pytest.raises(ConfigError):
+                AuctionConfig(default_max_bid=bid)
+        config = small_config(seed=31, days=60)
+        config = dataclasses.replace(
+            config,
+            auction=dataclasses.replace(config.auction, default_max_bid=0.01),
+        )
+        accounts = _accounts(config)
+        assert any(account.offer_max_bid for account in accounts)
+        for account in accounts:
+            for bid_col in account.max_bid_cols:
+                assert all(bid >= 0.05 for bid in bid_col)
+            assert all(bid >= 0.05 for bid in account.offer_max_bid)
 
 
 class TestAdAndCampaign:
-    def _ad(self, campaign_id=1):
-        return Ad(
-            ad_id=1,
-            campaign_id=campaign_id,
-            copy=AdCopy("t", "b"),
-            display_domain="x.com",
-            destination_domain="x.com",
-            created_day=0.0,
-        )
-
-    def test_campaign_rejects_foreign_ad(self):
-        campaign = Campaign(2, 1, "downloads", "US", 0.0)
-        with pytest.raises(ValueError):
-            campaign.add_ad(self._ad(campaign_id=1))
-
-    def test_campaign_accepts_own_ad(self):
-        campaign = Campaign(1, 1, "downloads", "US", 0.0)
-        campaign.add_ad(self._ad(campaign_id=1))
-        assert len(campaign.ads) == 1
-
     def test_ad_engagement_validation(self):
-        with pytest.raises(ValueError):
-            Ad(1, 1, AdCopy("t", "b"), "x.com", "x.com", 0.0, engagement=0.0)
+        """Each ad's engagement is positive and scales its offers' rank
+        and click quality alike."""
+        config = small_config(seed=31, days=60)
+        accounts = _accounts(config)
+        assert any(account.offer_quality for account in accounts)
+        for account in accounts:
+            profile = account.profile
+            ratio = profile.rank_gaming / profile.realized_ctr_factor
+            for quality, click in zip(
+                account.offer_quality, account.offer_click_quality
+            ):
+                assert quality > 0 and click > 0
+                assert quality / click == pytest.approx(ratio, rel=1e-12)
 
 
 class TestDomains:

@@ -21,9 +21,9 @@ CHECKPOINT_EVERY = 5
 #: Distinct interruption points (id -> fault plan factory).
 SCENARIOS = {
     "mid-phase1": lambda: FaultPlan.crash_at("phase1:day", day=17),
-    # Near the end of Phase 1 most legitimate accounts are lazy
-    # (entity construction deferred to trim): re-running Phase 1 from
-    # the seed must replay the batched path's draws identically.
+    # Near the end of Phase 1 almost every account is drawn but not yet
+    # trimmed: re-running Phase 1 from the seed must replay the batched
+    # path's draws identically.
     "late-phase1": lambda: FaultPlan.crash_at("phase1:day", day=35),
     "phase3-before-first-checkpoint": lambda: FaultPlan.crash_at(
         "phase3:day", day=2

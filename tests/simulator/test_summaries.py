@@ -1,80 +1,75 @@
-"""Tests for the engine's per-account summaries (bid statistics etc.)."""
+"""Tests for the engine's per-account summaries (bid statistics etc.).
+
+Each summary is recomputed here from the trimmed account columns it
+was built from.  Bid sums are compared exactly: summaries are only
+bit-identical across paths if every match type's max bids are added in
+the same campaign-major order.
+"""
 
 import numpy as np
 import pytest
 
-from repro import run_simulation, small_config
-from repro.records.codes import MATCH_CODES
-from repro.entities.enums import MatchType
+from repro.config import small_config
+from repro.simulator.engine import SimulationEngine
 
 
 @pytest.fixture(scope="module")
-def result_with_entities():
-    return run_simulation(small_config(seed=55, days=40), keep_entities=True)
+def population():
+    engine = SimulationEngine(small_config(seed=55, days=40))
+    accounts, summaries = engine.generate_population()
+    materialized = engine.population_plan.materialized
+    pairs = [
+        (account, summary)
+        for account, summary, built in zip(accounts, summaries, materialized)
+        if built
+    ]
+    assert len(pairs) > 10
+    return engine.config, pairs
+
+
+def _campaign_major(account):
+    """``(match code, max bid)`` of every bid, campaign by campaign."""
+    for mcodes, max_bids in zip(account.mcode_cols, account.max_bid_cols):
+        yield from zip(mcodes, max_bids)
 
 
 class TestBidStatistics:
-    def test_counts_match_entities(self, result_with_entities):
-        result = result_with_entities
-        by_id = {a.advertiser_id: a for a in result.advertisers}
-        checked = 0
-        for summary in result.accounts:
-            advertiser = by_id[summary.advertiser_id]
-            bids = list(advertiser.all_bids())
-            if not bids:
-                continue
-            checked += 1
-            expected = np.zeros(3)
-            expected_sum = np.zeros(3)
-            for bid in bids:
-                code = MATCH_CODES[bid.match_type]
-                expected[code] += 1
-                expected_sum[code] += bid.max_bid
-            np.testing.assert_array_equal(summary.bid_count_by_match, expected)
-            np.testing.assert_allclose(summary.bid_sum_by_match, expected_sum)
-            if checked > 50:
-                break
-        assert checked > 10
+    def test_counts_and_sums_match_columns(self, population):
+        _, pairs = population
+        for account, summary in pairs:
+            count = [0.0, 0.0, 0.0]
+            total = [0.0, 0.0, 0.0]
+            for mcode, max_bid in _campaign_major(account):
+                count[mcode] += 1
+                total[mcode] += max_bid
+            np.testing.assert_array_equal(summary.bid_count_by_match, count)
+            np.testing.assert_array_equal(summary.bid_sum_by_match, total)
+            assert summary.bid_sum_by_match.dtype == np.float64
 
-    def test_above_default_consistent(self, result_with_entities):
-        result = result_with_entities
-        default = result.config.auction.default_max_bid
-        by_id = {a.advertiser_id: a for a in result.advertisers}
-        for summary in result.accounts[:200]:
-            advertiser = by_id[summary.advertiser_id]
-            expected = np.zeros(3)
-            for bid in advertiser.all_bids():
-                if bid.max_bid > default * 1.0001:
-                    expected[MATCH_CODES[bid.match_type]] += 1
+    def test_above_default_consistent(self, population):
+        config, pairs = population
+        default = config.auction.default_max_bid
+        for account, summary in pairs:
+            expected = [0.0, 0.0, 0.0]
+            for mcode, max_bid in _campaign_major(account):
+                if max_bid > default * 1.0001:
+                    expected[mcode] += 1
             np.testing.assert_array_equal(
                 summary.bid_above_default_by_match, expected
             )
 
-    def test_keyword_counts_match(self, result_with_entities):
-        result = result_with_entities
-        by_id = {a.advertiser_id: a for a in result.advertisers}
-        for summary in result.accounts[:200]:
-            advertiser = by_id[summary.advertiser_id]
-            assert summary.n_keywords == sum(1 for _ in advertiser.all_bids())
-            assert summary.n_ads == sum(1 for _ in advertiser.all_ads())
+    def test_keyword_counts_match(self, population):
+        _, pairs = population
+        for account, summary in pairs:
+            n_bids = sum(len(created) for created in account.created_cols)
+            assert summary.n_keywords == n_bids == len(account.kw_creation_times)
+            assert summary.n_ads == len(account.ad_ids)
 
-    def test_domains_counted(self, result_with_entities):
-        result = result_with_entities
-        by_id = {a.advertiser_id: a for a in result.advertisers}
-        for summary in result.accounts[:200]:
-            advertiser = by_id[summary.advertiser_id]
-            domains = {ad.destination_domain for ad in advertiser.all_ads()}
-            assert summary.n_domains == len(domains)
-
-
-class TestKeepEntities:
-    def test_entities_retained_only_on_request(self):
-        config = small_config(seed=56, days=20)
-        without = run_simulation(config)
-        assert without.advertisers == []
-
-    def test_entities_align_with_accounts(self, result_with_entities):
-        result = result_with_entities
-        assert len(result.advertisers) == len(result.accounts)
-        for advertiser, summary in zip(result.advertisers, result.accounts):
-            assert advertiser.advertiser_id == summary.advertiser_id
+    def test_domains_counted(self, population):
+        _, pairs = population
+        trimmed_away = 0
+        for account, summary in pairs:
+            assert summary.n_domains == len(set(account.ad_domains))
+            trimmed_away += len(account.ad_ids) < account.profile.n_ads
+        # The check must see accounts whose trim dropped ads.
+        assert trimmed_away > 0
